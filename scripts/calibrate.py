@@ -31,6 +31,7 @@ from qrperm import (
     golden,
     max_incomplete_sum,
     max_prefix_star,
+    prefix_star_nums,
     random_perm,
     rho_exp,
     sos_perm,
@@ -69,22 +70,6 @@ def w_sum_constant(pmax: int) -> tuple[float, int]:
     return worst, worst_p
 
 
-def _prefix_discs(image: tuple[int, ...]) -> np.ndarray:
-    """Count-scale star discrepancy of every prefix of the point
-    sequence image[i] / n, exact integers scaled by n."""
-    n = len(image)
-    img = np.asarray(image, dtype=np.int64)
-    cnt = np.zeros(n, dtype=np.int64)
-    out = np.empty(n, dtype=np.float64)
-    for m in range(1, n + 1):
-        cnt += img >= img[m - 1]
-        lin = m * img[:m]
-        at = np.abs(n * cnt[:m] - lin)
-        before = np.abs(n * (cnt[:m] - 1) - lin)
-        out[m - 1] = max(at.max(), before.max()) / n
-    return out
-
-
 def erdos_turan_needed_c(max_n: int) -> tuple[float, str]:
     """max over corpus perms, prefixes m, and cutoffs K of
     disc(prefix) / (m/K + sum_{k<=K} |A(k)|/k)."""
@@ -96,7 +81,7 @@ def erdos_turan_needed_c(max_n: int) -> tuple[float, str]:
         unit = np.exp(2j * np.pi * (ks[:, None] * img[None, :] % n) / n)
         mags = np.abs(np.cumsum(unit, axis=1))        # (k, m), m = 1..n
         tail = np.cumsum(mags / ks[:, None], axis=0)  # (K, m)
-        discs = _prefix_discs(sigma.image)
+        discs = prefix_star_nums(img, n) / n
         ms = np.arange(1, n + 1, dtype=np.float64)
         denom = ms[None, :] / ks[:, None].astype(np.float64) + tail
         needed = (discs[None, :] / denom).max()

@@ -10,7 +10,7 @@ from .cfrac import (AverageCheck, ContinuedFraction, ZarembaResult,
                     bounded_average_check, cf_of_quadratic, cf_of_rational,
                     continuant, convergents, zaremba_search)
 from .discrepancy import (DiscrepancyReport, RealStarDisc, build_report,
-                          d_exact, d_star, d_zero, interval_hit,
+                          d_exact, d_star, interval_hit,
                           min_hitting_length, real_star_disc,
                           set_discrepancy, verify_interval_hits)
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
@@ -36,7 +36,8 @@ from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       floor_surd, frac_compare, frac_float, golden,
                       is_square_free, parse_alpha, sign_of_surd, sqrt_irr)
 from .ranksets import (ASet, GapCheck, PrefixStar, a_set, b_of_k,
-                       b_sequence, gap_check, max_prefix_star)
+                       b_sequence, gap_check, max_prefix_star,
+                       prefix_star_nums)
 
 __version__ = "0.1.0"
 

@@ -1,23 +1,24 @@
 """Interval discrepancy of permutations, exactly.
 
 All interval counts are integers, so every discrepancy here is an exact
-rational with denominator n: the deviation of sigma(I) against J is
-(n*|sigma(I) cap J| - |I|*|J|) / n and we track integer numerators
-throughout, converting to Fraction only at the API boundary.
+rational with denominator n.  Both interval quantities read one integer
+matrix, the prefix deviation
 
-    d_star(sigma)   max over initial intervals I = [0,a), J = [0,b).
-                    O(n^2) time: grow I one element at a time and rescan
-                    the deviation numerator g(b) = n*|S cap [0,b)| - a*b.
-    d_exact(sigma)  max over all cyclic interval pairs.  Complementing I
-                    or J negates the signed deviation and maps wrapping
-                    intervals to non-wrapping ones, so the sweep only
-                    anchors non-wrapping I and reads the best J off
-                    max(g) - min(g) of the prefix deviation.  Cubic; the
-                    size cap refuses anything above it.
-    d_zero(sigma)   max over non-wrapping pairs only.  By the same
-                    complement identity this equals d_exact; it is kept
-                    as its own entry point because callers ask for the
-                    linear-interval quantity by name.
+    F(a, b) = n*|sigma([0,a)) cap [0,b)| - a*b,    0 <= a, b <= n,
+
+and convert to Fraction only at the API boundary.  _deviation_blocks
+yields its rows a = 1..n a block at a time (row 0 is zero).
+
+    d_star(sigma)   max |F| over initial intervals I = [0,a), J = [0,b).
+                    O(n^2) time, O(n) memory (one block of rows).
+    d_exact(sigma)  max over all cyclic interval pairs.  For I = [i,j)
+                    and J = [c,d) the signed deviation is
+                    F(j,d) - F(i,d) - F(j,c) + F(i,c), so the best J for
+                    a given I is max_b - min_b of F_j - F_i.  Complementing
+                    I or J negates the signed deviation and maps wrapping
+                    intervals to non-wrapping ones, so the non-wrapping
+                    pairs i < j suffice.  Cubic; the size cap refuses
+                    anything above it.
 
 real_star_disc handles finite multisets in [0, 1) and returns the
 closed-interval and half-open conventions separately (for finite sets
@@ -51,84 +52,44 @@ def set_discrepancy(s_set, t_set, n: int) -> Fraction:
     return Fraction(abs(n * len(s & t) - len(s) * len(t)), n)
 
 
-def d_star(sigma: Permutation) -> Fraction:
-    """Initial-interval discrepancy, exact, O(n^2) time / O(n) space
-    (constant-width blocks of grow steps are processed vectorized)."""
+def _deviation_blocks(sigma: Permutation):
+    """Rows a = 1..n of F, up to _BLOCK rows per yielded int64 array of
+    shape (rows, n + 1)."""
     n = sigma.n
-    if n == 1:
-        return Fraction(0, 1)
     img = np.asarray(sigma.image, dtype=np.int64)
     brange = np.arange(n + 1, dtype=np.int64)
     scaled_count = np.zeros(n + 1, dtype=np.int64)  # n * |S cap [0, b)|
-    best = 0
     for start in range(0, n, _BLOCK):
         blk = img[start:start + _BLOCK]
         rows = np.cumsum(blk[:, None] < brange[None, :], axis=0,
                          dtype=np.int64)
         a_col = np.arange(start + 1, start + 1 + len(blk),
                           dtype=np.int64)[:, None]
-        g = scaled_count[None, :] + n * rows - a_col * brange[None, :]
-        best = max(best, int(np.abs(g, out=g).max()))
+        yield scaled_count[None, :] + n * rows - a_col * brange[None, :]
         scaled_count += n * rows[-1]
-    return Fraction(best, n)
 
 
-def _max_pair_deviation(img: np.ndarray, n: int) -> int:
-    """max over non-wrapping I, J of |n*|sigma(I) cap J| - |I|*|J||.
-
-    For an anchored growing I the signed deviation of J = [c, d) is
-    g(d) - g(c) with g(b) = n*|S cap [0,b)| - |I|*b, so the best J is
-    max(g) - min(g).
-    """
-    brange = np.arange(n + 1, dtype=np.int64)
-    best = 0
-    for i in range(n):
-        scaled_count = np.zeros(n + 1, dtype=np.int64)
-        for start in range(i, n, _BLOCK):
-            blk = img[start:start + _BLOCK]
-            rows = np.cumsum(blk[:, None] < brange[None, :], axis=0,
-                             dtype=np.int64)
-            lengths = np.arange(start - i + 1, start - i + 1 + len(blk),
-                                dtype=np.int64)[:, None]
-            g = scaled_count[None, :] + n * rows - lengths * brange[None, :]
-            spread = g.max(axis=1) - g.min(axis=1)
-            best = max(best, int(spread.max()))
-            scaled_count += n * rows[-1]
-    return best
+def d_star(sigma: Permutation) -> Fraction:
+    """Initial-interval discrepancy max |F|, exact."""
+    best = max(int(np.abs(f, out=f).max()) for f in _deviation_blocks(sigma))
+    return Fraction(best, sigma.n)
 
 
 def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
-    """Discrepancy over all cyclic interval pairs, exact.
-
-    Wrapping I or J are covered through their non-wrapping complements
-    (complementing either argument negates the signed deviation), so
-    only non-wrapping pairs are enumerated.  Refuses n > cap.
-    """
+    """Discrepancy over all cyclic interval pairs, exact: the max over
+    i < j of max_b - min_b of F_j - F_i.  Refuses n > cap."""
     n = sigma.n
     if n > cap:
         raise SizeRefusedError(
             f"d_exact is cubic; n = {n} exceeds cap {cap}")
-    if n == 1:
-        return Fraction(0, 1)
-    img = np.asarray(sigma.image, dtype=np.int64)
-    return Fraction(_max_pair_deviation(img, n), n)
-
-
-def d_zero(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
-    """Discrepancy over non-wrapping interval pairs only.
-
-    Numerically this equals d_exact: the complement identity that
-    justifies d_exact's reduced enumeration is an equality between the
-    two maxima, not just a bound.
-    """
-    n = sigma.n
-    if n > cap:
-        raise SizeRefusedError(
-            f"d_zero is cubic; n = {n} exceeds cap {cap}")
-    if n == 1:
-        return Fraction(0, 1)
-    img = np.asarray(sigma.image, dtype=np.int64)
-    return Fraction(_max_pair_deviation(img, n), n)
+    f = np.vstack([np.zeros((1, n + 1), dtype=np.int64),
+                   *_deviation_blocks(sigma)])
+    diff = np.empty_like(f)  # reused: fresh MB-sized temporaries page-fault
+    best = 0
+    for j in range(1, n + 1):
+        rows = np.subtract(f[j], f[:j], out=diff[:j])
+        best = max(best, int(np.ptp(rows, axis=1).max()))
+    return Fraction(best, n)
 
 
 @dataclass(frozen=True)
@@ -223,8 +184,6 @@ class DiscrepancyReport:
     params: tuple[tuple[str, str], ...]
     d_star: Fraction
     d_exact: Fraction | None   # None when n exceeded the cap
-    d_zero: Fraction | None
-    d_lower: Fraction          # d_star
     d_upper: Fraction          # d_exact when known, else 4 * d_star
     ratio_log2: float | None   # d_upper / log2(n), None for n < 2
     ratio_sqrt: float
@@ -240,8 +199,8 @@ class DiscrepancyReport:
             "params": dict(self.params),
             "d_star": frac(self.d_star),
             "d_exact": frac(self.d_exact),
-            "d_zero": frac(self.d_zero),
-            "d_lower": frac(self.d_lower),
+            "d_zero": frac(self.d_exact),   # the same quantity
+            "d_lower": frac(self.d_star),
             "d_upper": frac(self.d_upper),
             "d_star_float": float(self.d_star),
             "d_upper_float": float(self.d_upper),
@@ -265,8 +224,7 @@ def build_report(sigma: Permutation,
     val = float(upper)
     return DiscrepancyReport(
         n=n, family=sigma.family, params=sigma.params,
-        d_star=ds, d_exact=de, d_zero=de,
-        d_lower=ds, d_upper=upper,
+        d_star=ds, d_exact=de, d_upper=upper,
         ratio_log2=(val / math.log2(n)) if n >= 2 else None,
         ratio_sqrt=val / math.sqrt(n),
         ratio_sqrt_log=(val / math.sqrt(n * math.log(n)))

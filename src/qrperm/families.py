@@ -76,8 +76,11 @@ def from_text(text: str) -> Permutation:
     lines = text.splitlines()
     if len(lines) < 3:
         raise QrpermError("expected three lines: n, image, provenance")
-    n = int(lines[0].strip())
-    image = tuple(int(v) for v in lines[1].split())
+    try:
+        n = int(lines[0].strip())
+        image = tuple(int(v) for v in lines[1].split())
+    except ValueError as exc:
+        raise QrpermError(f"n and image must be integers: {exc}") from None
     if not lines[2].startswith("# "):
         raise QrpermError("third line must be a '# ' provenance comment")
     family = "custom"

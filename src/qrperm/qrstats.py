@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discrepancy import D_EXACT_CAP, d_exact, d_star
+from .discrepancy import D_EXACT_CAP, build_report
 from .errors import QrpermError, SizeRefusedError
 from .expsums import _roots
 from .families import Permutation
@@ -276,7 +276,7 @@ def property_profile(sigma: Permutation, alpha: float = 0.5,
     first = Interval(n, 0, h)
     second = Interval(n, h, n - h)
     full = Interval(n, 0, n)
-    ub = d_exact(sigma) if n <= exact_cap else 4 * d_star(sigma)
+    ub = build_report(sigma, exact_cap).d_upper
     sp = max(separability_stat(sigma, a, b, full, full)
              for a in (first, second) for b in (first, second))
     patterns = [(0, 1), (1, 0)]

@@ -153,6 +153,7 @@ def max_prefix_star(alpha, n: int) -> PrefixStar:
         sigma = sos_perm(n, alpha)
         g = np.asarray(sigma.image, dtype=np.int64)
         keys = np.array([frac_float(alpha, s) for s in range(1, n + 1)])
+        # distinct points: cnt - 1 is the strict count, so one counter suffices
         cnt = np.zeros(n, dtype=np.int64)
         best = -1.0
         best_s = 1
@@ -171,26 +172,29 @@ def max_prefix_star(alpha, n: int) -> PrefixStar:
 
     alpha = Fraction(alpha)
     den = alpha.denominator
+    nums = prefix_star_nums([(alpha.numerator * s) % den
+                             for s in range(1, n + 1)], den)
+    best_s = int(np.argmax(nums)) + 1  # first maximum, smallest s
+    return PrefixStar(Fraction(int(nums[best_s - 1]), den), best_s,
+                      Fraction(int(nums[-1]), den))
+
+
+def prefix_star_nums(r, den: int) -> np.ndarray:
+    """Star discrepancy (count scale) of every prefix of the points
+    r[q] / den, times den, exact; ties allowed.  Entry s - 1 covers the
+    first s points."""
+    n = len(r)
     if den * (n + 1) >= 2**62:
         raise SizeRefusedError("denominator too large for the exact "
                                "integer sweep")
-    r = np.array([(alpha.numerator * s) % den for s in range(1, n + 1)],
-                 dtype=np.int64)
+    r = np.asarray(r, dtype=np.int64)
     cnt_le = np.zeros(n, dtype=np.int64)
     cnt_lt = np.zeros(n, dtype=np.int64)
-    best_num = -1
-    best_s = 1
-    final_num = 0
+    out = np.empty(n, dtype=np.int64)
     for s in range(1, n + 1):
         cnt_le += r >= r[s - 1]
         cnt_lt += r > r[s - 1]
         lin = s * r[:s]
-        at = np.abs(den * cnt_le[:s] - lin)
-        before = np.abs(den * cnt_lt[:s] - lin)
-        here = int(max(at.max(), before.max()))
-        if here > best_num:
-            best_num, best_s = here, s
-        if s == n:
-            final_num = here
-    return PrefixStar(Fraction(best_num, den), best_s,
-                      Fraction(final_num, den))
+        out[s - 1] = max((den * cnt_le[:s] - lin).max(),
+                         (lin - den * cnt_lt[:s]).max())
+    return out

@@ -264,6 +264,8 @@ def scan_obryant(alpha_label: str, limit: int,
     """Which values does {B_alpha(k) : k <= limit} hit?  Also the density
     |A| against sqrt(n / ln n) and the largest element-free interval
     against the sqrt(32 n D) guarantee."""
+    if limit < 2:
+        raise QrpermError(f"obryant needs limit >= 2, got {limit}")
     alpha = parse_alpha(alpha_label)
     sigma = sos_perm(limit, alpha)
     ranks = a_set(sigma)

@@ -15,7 +15,6 @@ from qrperm import (
     build_report,
     d_exact,
     d_star,
-    d_zero,
     identity_perm,
     interval_hit,
     invert,
@@ -90,11 +89,6 @@ def test_d_exact_matches_cyclic_oracle():
         assert d_exact(sigma) == oracle_d_cyclic(sigma)
 
 
-def test_d_zero_equals_d_exact():
-    for sigma in (psi(19, 7), lambda_inv(17, 1), random_perm(25, 11)):
-        assert d_zero(sigma) == d_exact(sigma)
-
-
 def test_sandwich_and_inverse_symmetry(small_corpus):
     for sigma in small_corpus:
         ds = d_star(sigma)
@@ -112,8 +106,6 @@ def test_size_cap_refusal():
     sigma = identity_perm(40)
     with pytest.raises(SizeRefusedError):
         d_exact(sigma, cap=39)
-    with pytest.raises(SizeRefusedError):
-        d_zero(sigma, cap=39)
 
 
 # ------------------------------------------------------------- real star
@@ -206,10 +198,11 @@ def test_verify_interval_hits_finds_counterexample():
 def test_build_report_below_cap():
     rep = build_report(psi(5, 2))
     assert rep.d_star == Fraction(4, 5)
-    assert rep.d_exact == rep.d_upper == rep.d_zero
-    assert rep.d_lower == rep.d_star
+    assert rep.d_exact == rep.d_upper
     assert rep.ratio_log2 == pytest.approx(float(rep.d_upper) / math.log2(5))
     data = json.loads(rep.to_json())
+    assert data["d_zero"] == data["d_exact"] == data["d_upper"]
+    assert data["d_lower"] == data["d_star"]
     assert data["d_star"] == {"num": 4, "den": 5}
     assert data["d_star_float"] == pytest.approx(0.8)
     assert data["family"] == "psi"
@@ -218,10 +211,11 @@ def test_build_report_below_cap():
 def test_build_report_above_cap_uses_sandwich():
     sigma = random_perm(30, 3)
     rep = build_report(sigma, cap=16)
-    assert rep.d_exact is None and rep.d_zero is None
+    assert rep.d_exact is None
     assert rep.d_upper == 4 * rep.d_star
     data = json.loads(rep.to_json())
-    assert data["d_exact"] is None
+    assert data["d_exact"] is None and data["d_zero"] is None
+    assert data["d_lower"] == data["d_star"]
     assert data["d_upper"]["num"] == (4 * rep.d_star).numerator
 
 

@@ -261,6 +261,10 @@ def test_from_text_validates_shape():
         from_text("3\n0 1 1\n# family=custom\n")
     with pytest.raises(NotAPermutationError):
         from_text("3\n0 1\n# family=custom\n")
+    with pytest.raises(QrpermError, match="integers"):
+        from_text("three\n0 1 2\n# family=custom\n")
+    with pytest.raises(QrpermError, match="integers"):
+        from_text("3\n0 1 2.5\n# family=custom\n")
 
 
 def test_permutation_validation():

@@ -18,6 +18,7 @@ from qrperm import (
     golden,
     identity_perm,
     max_prefix_star,
+    prefix_star_nums,
     psi,
     random_perm,
     real_star_disc,
@@ -146,6 +147,15 @@ def test_max_prefix_star_matches_oracle_irrational():
         assert ps.value == pytest.approx(want, abs=1e-9)
         assert ps.argmax_s == want_s
         assert ps.final == pytest.approx(want_final, abs=1e-9)
+
+
+def test_prefix_star_nums_matches_oracle_with_ties():
+    r, den = [3, 0, 3, 5, 1, 0, 6, 3], 7
+    nums = prefix_star_nums(r, den)
+    for s in range(1, len(r) + 1):
+        points = [Fraction(v, den) for v in r[:s]]
+        assert Fraction(int(nums[s - 1]), den) == \
+            Fraction(real_star_disc(points).half_open)
 
 
 def test_max_prefix_star_matches_oracle_rational():

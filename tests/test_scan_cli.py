@@ -374,6 +374,31 @@ def test_cli_obryant_stdout(capsys):
     assert "B(1..12) = 1 2 1 3 1 4 7 3 7 2 7 12" in out
 
 
+def test_cli_obryant_rejects_short_limit(capsys):
+    assert main(["obryant", "--alpha", "golden", "--limit", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "limit >= 2" in err
+
+
+def test_cli_disc_rejects_non_integer_file(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("3\n0 x 2\n# family=custom\n")
+    assert main(["disc", "--from-file", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_stats_honours_exact_cap(capsys):
+    flags = ["--family", "random", "--seed", "1", "--n", "520",
+             "--exact-cap", "1024"]
+    assert main(["stats", *flags]) == 0
+    ub = json.loads(capsys.readouterr().out)["ub"]
+    assert main(["disc", *flags]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["d_exact"] is not None
+    assert ub == report["d_upper"]
+
+
 def test_cli_stats_profile(capsys):
     assert main(["stats", "--family", "psi", "--n", "31", "--k", "7"]) == 0
     data = json.loads(capsys.readouterr().out)
