@@ -165,16 +165,11 @@ def convergents(cf: ContinuedFraction, m: int) -> list[Fraction]:
 
 def continuant(quotients) -> int:
     """K(a_1, ..., a_m): the denominator of [0; a_1, ..., a_m].  K() = 1."""
-    q_prev, q = 1, 1
-    first = True
+    q_prev, q = 0, 1
     for a in quotients:
         if a < 1:
             raise QrpermError("partial quotients must be >= 1")
-        if first:
-            q = a
-            first = False
-        else:
-            q_prev, q = q, a * q + q_prev
+        q_prev, q = q, a * q + q_prev
     return q
 
 
@@ -186,11 +181,20 @@ class AverageCheck:
     witness_prefix: int | None  # length of the first violating prefix
 
 
-def bounded_average_check(quotients, bound) -> AverageCheck:
-    """Is every prefix mean of the quotients <= bound?  Exact."""
-    bound = Fraction(bound)
+def _parse_bound(bound) -> Fraction:
+    """A quotient bound B > 0 from an int, a Fraction or "p/q" text."""
+    try:
+        bound = Fraction(bound)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise QrpermError(f"bound must be a number, got {bound!r}") from None
     if bound <= 0:
         raise QrpermError("bound must be positive")
+    return bound
+
+
+def bounded_average_check(quotients, bound) -> AverageCheck:
+    """Is every prefix mean of the quotients <= bound?  Exact."""
+    bound = _parse_bound(bound)
     quotients = tuple(quotients)
     total = 0
     witness = None
@@ -226,7 +230,7 @@ def zaremba_search(n: int, bound) -> ZarembaResult:
     """
     if n < 2:
         raise QrpermError("n must be >= 2")
-    bound = Fraction(bound)
+    bound = _parse_bound(bound)
     best = None
     for k in range(1, n):
         if math.gcd(k, n) != 1:

@@ -47,8 +47,11 @@ def _need(value, flag: str):
 
 def build_perm(cfg: RunConfig) -> Permutation:
     if cfg.from_file:
-        with open(cfg.from_file) as fh:
-            return from_text(fh.read())
+        try:
+            with open(cfg.from_file, encoding="utf-8") as fh:
+                return from_text(fh.read())
+        except UnicodeDecodeError as exc:
+            raise QrpermError(f"cannot read {cfg.from_file}: {exc}") from None
     n = _need(cfg.n, "--n")
     fam = cfg.family
     if fam == "psi":
@@ -349,10 +352,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve(command, pairs, config_path)
         return _COMMANDS[command](cfg)
-    except QrpermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (QrpermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -95,9 +95,9 @@ def load_config_file(path: str) -> dict[str, Any]:
     types = {f.name: f.type for f in fields(RunConfig)}
     out: dict[str, Any] = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise QrpermError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()

@@ -61,12 +61,16 @@ def _deviation_blocks(sigma: Permutation):
     scaled_count = np.zeros(n + 1, dtype=np.int64)  # n * |S cap [0, b)|
     for start in range(0, n, _BLOCK):
         blk = img[start:start + _BLOCK]
-        rows = np.cumsum(blk[:, None] < brange[None, :], axis=0,
-                         dtype=np.int64)
+        # in place: every fresh block-sized temporary costs page faults
+        f = np.cumsum(blk[:, None] < brange[None, :], axis=0,
+                      dtype=np.int64)
+        f *= n
+        f += scaled_count
+        scaled_count[:] = f[-1]
         a_col = np.arange(start + 1, start + 1 + len(blk),
                           dtype=np.int64)[:, None]
-        yield scaled_count[None, :] + n * rows - a_col * brange[None, :]
-        scaled_count += n * rows[-1]
+        f -= a_col * brange[None, :]
+        yield f
 
 
 def d_star(sigma: Permutation) -> Fraction:

@@ -15,10 +15,16 @@ Kernels:
     w_sum(p, a, c, theta, t)         sum_k |sum_x e((a th^x + c th^xk)/p)|
     interval_fourier(J, k)           sum_{x in J} e(-k*x/n)
 
-plus the Erdos-Turan bound, its minimizing companion, the completion
-inequality check (max window sum vs max twisted full sum times
-1 + ln n), and the incomplete-sum maximum used for the
-Polya-Vinogradov-style calibration.
+plus the Erdos-Turan bound and its minimizing companion (both read one
+curve over K), the completion inequality check (max window sum vs max
+twisted full sum times 1 + ln n), and the incomplete-sum maximum used
+for the Polya-Vinogradov-style calibration.
+
+Window sums: with the prefix walk P_m = sum_{s<m} e(k*sigma(s)/n), the
+window [u, v) sums to P_v - P_u, and _widest_window's max_{u<v}
+|P_v - P_u| serves completion_check and qrstats.eigenvalue_stat.  As
+sigma is a permutation and k != 0 mod n, the full-circle sum P_n is 0,
+so a wrapping window, the complement of [u, v), sums to -(P_v - P_u).
 """
 
 from __future__ import annotations
@@ -64,6 +70,29 @@ def e(x: float) -> complex:
 @lru_cache(maxsize=64)
 def _roots(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+_WINDOW_ROWS = 64
+_NOT_WINDOW = np.tri(_WINDOW_ROWS, dtype=bool)  # v <= u, leading square
+
+
+def _widest_window(prefix: np.ndarray) -> tuple[float, int, int]:
+    """(max over 0 <= u < v < len(prefix) of |prefix[v] - prefix[u]|,
+    u, v) at the first (u, v) in row order attaining it.  Rows u go
+    _WINDOW_ROWS at a time against the columns v >= the block's first
+    row, the cells with v <= u masked out.  Squared distances from the
+    real and imaginary parts are cheaper than a complex abs."""
+    re, im = prefix.real, prefix.imag
+    best = (-1.0, 0, 1)
+    for u0 in range(0, len(prefix) - 1, _WINDOW_ROWS):
+        r = min(_WINDOW_ROWS, len(prefix) - 1 - u0)
+        sq = (re[None, u0:] - re[u0:u0 + r, None]) ** 2
+        sq += (im[None, u0:] - im[u0:u0 + r, None]) ** 2
+        sq[:, :r][_NOT_WINDOW[:r, :r]] = -1.0
+        u, v = divmod(int(sq.argmax()), sq.shape[1])
+        if sq[u, v] > best[0]:
+            best = (float(sq[u, v]), u0 + u, u0 + v)
+    return math.sqrt(best[0]), best[1], best[2]
 
 
 def _fsum_terms(residues, n: int, terms: int, kernel: str, params) -> SumValue:
@@ -173,30 +202,27 @@ def interval_fourier(j_int: Interval, k: int) -> SumValue:
                                length=j_int.length))
 
 
-def erdos_turan_bound(points, k_max: int, c_const: float = 4.0) -> float:
-    """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for reals in [0, 1)."""
+def _erdos_turan_curve(points, k_max: int, c_const: float) -> np.ndarray:
+    """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for K = 1..k_max."""
     if k_max < 1:
         raise QrpermError("K must be >= 1")
     pts = np.asarray(list(points), dtype=np.float64)
-    m = len(pts)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     mags = np.abs(np.exp(2j * np.pi * ks[:, None] * pts[None, :]).sum(axis=1))
-    return c_const * (m / k_max + float((mags / ks).sum()))
+    return c_const * (len(pts) / ks + np.cumsum(mags / ks))
+
+
+def erdos_turan_bound(points, k_max: int, c_const: float = 4.0) -> float:
+    """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for reals in [0, 1)."""
+    return float(_erdos_turan_curve(points, k_max, c_const)[-1])
 
 
 def erdos_turan_min(points, k_limit: int,
                     c_const: float = 4.0) -> tuple[int, float]:
     """(K*, bound*) minimizing the Erdos-Turan bound over K <= k_limit."""
-    if k_limit < 1:
-        raise QrpermError("K limit must be >= 1")
-    pts = np.asarray(list(points), dtype=np.float64)
-    m = len(pts)
-    ks = np.arange(1, k_limit + 1, dtype=np.float64)
-    mags = np.abs(np.exp(2j * np.pi * ks[:, None] * pts[None, :]).sum(axis=1))
-    tail = np.cumsum(mags / ks)
-    bounds = c_const * (m / ks + tail)
-    best = int(np.argmin(bounds))
-    return best + 1, float(bounds[best])
+    curve = _erdos_turan_curve(points, k_limit, c_const)
+    best = int(np.argmin(curve))
+    return best + 1, float(curve[best])
 
 
 @dataclass(frozen=True)
@@ -223,17 +249,10 @@ def completion_check(sigma: Permutation, k: int,
     vals = roots[(k * np.asarray(sigma.image, dtype=np.int64)) % n]
     # max over a of |sum_s vals[s] e(as/n)|: a DFT of vals
     max_twisted = float(np.abs(np.fft.fft(vals)).max())
-    prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(vals)))
-    total = prefix[-1]
-    best = abs(total)  # the full window
-    for u in range(n + 1):
-        delta = prefix[u + 1:] - prefix[u]
-        if len(delta):
-            best = max(best, float(np.abs(delta).max()),
-                       float(np.abs(total - delta).max()))
+    widest, _, _ = _widest_window(np.concatenate(([0j], np.cumsum(vals))))
     bound = 1.0 + math.log(n)
-    ratio = best / max_twisted if max_twisted > 0 else math.inf
-    return CompletionReport(n, k, best, max_twisted, ratio, bound,
+    ratio = widest / max_twisted if max_twisted > 0 else math.inf
+    return CompletionReport(n, k, widest, max_twisted, ratio, bound,
                             ratio <= bound + 1e-9)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .discrepancy import D_EXACT_CAP, build_report
 from .errors import QrpermError, SizeRefusedError
-from .expsums import _roots
+from .expsums import _roots, _widest_window
 from .families import Permutation
 from .intervals import Interval
 
@@ -158,56 +158,39 @@ class EigenvalueStat:
     magnitude: float    # |sum_{s in sigma(I)} e(-k s / n)| at the argmax
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise QrpermError(f"alpha must be positive and finite, got {alpha}")
+
+
 def eigenvalue_stat(sigma: Permutation, alpha: float,
                     cap: int = EIGEN_CAP) -> EigenvalueStat:
     """max over 1 <= k <= n/2 and cyclic intervals I of
     |sum_{s in sigma(I)} e(-k*s/n)| / k^alpha.
 
     Negative k duplicate positive k in magnitude, so only positive
-    representatives are scanned.  For every k the full-circle sum is 0,
-    so wrapping intervals are reached through complements of
-    non-wrapping ones.
+    representatives are scanned.  For each k the value is the widest
+    window max_{u<v} |P_v - P_u| of the prefix walk P of e(-k*sigma/n),
+    won by I = [u, v).  Wrapping intervals need no scan: the full-circle
+    sum P_n is 0 (sigma is a permutation, k != 0 mod n), so each has the
+    magnitude of its non-wrapping complement.
     """
+    _check_alpha(alpha)
     n = sigma.n
     if n > cap:
         raise SizeRefusedError(f"n = {n} exceeds cap {cap}")
-    if alpha <= 0:
-        raise QrpermError("alpha must be positive")
     if n < 2:
         raise QrpermError("n must be >= 2")
     roots = _roots(n)
     img = np.asarray(sigma.image, dtype=np.int64)
-    cols = np.arange(n + 1, dtype=np.int64)[None, :]
     best = None
-    chunk = 256
     for k in range(1, n // 2 + 1):
-        w = roots[(-k * img) % n]
-        prefix = np.concatenate(([0.0 + 0.0j], np.cumsum(w)))
-        total = prefix[-1]
-        norm = float(k) ** alpha
-        for u0 in range(0, n, chunk):
-            u1 = min(u0 + chunk, n)
-            diff = prefix[None, :] - prefix[u0:u1, None]  # (u, v): P_v - P_u
-            invalid = cols <= np.arange(u0, u1, dtype=np.int64)[:, None]
-            for shifted, wrapped in ((np.abs(diff), False),
-                                     (np.abs(total - diff), True)):
-                shifted[invalid] = -1.0
-                flat = int(np.argmax(shifted))
-                u_rel, v = divmod(flat, n + 1)
-                cand = float(shifted[u_rel, v]) / norm
-                if best is None or cand > best[0]:
-                    best = (cand, k, u0 + u_rel, v, wrapped)
-    _, k, u, v, wrapped = best
-    if wrapped and v - u == n:
-        # complement of the full interval is empty; fall back to full
-        ivl = Interval(n, 0, n)
-    elif wrapped:
-        ivl = Interval(n, v % n, n - (v - u))
-    else:
-        ivl = Interval(n, u, v - u)
-    mag = abs(sum(complex(roots[(-k * sigma.image[x]) % n])
-                  for x in ivl.members()))
-    return EigenvalueStat(mag / float(k) ** alpha, alpha, k, ivl, mag)
+        prefix = np.concatenate(([0j], np.cumsum(roots[(-k * img) % n])))
+        mag, u, v = _widest_window(prefix)
+        value = mag / float(k) ** alpha
+        if best is None or value > best.value:
+            best = EigenvalueStat(value, alpha, k, Interval(n, u, v - u), mag)
+    return best
 
 
 def translation_stat(sigma: Permutation, i_int: Interval,
@@ -244,7 +227,7 @@ class PropertyProfile:
     two_s: int                   # X^(01) - X^(10), full domain
     sp_max: Fraction             # max separability deviation over halves
     e_alpha: float
-    e_alpha_max: float
+    e_alpha_max: float | None    # None above EIGEN_CAP
     t_sum: Fraction              # translation stat on (H1, H1)
     pattern_counts: tuple[tuple[tuple[int, ...], int], ...]
 
@@ -269,6 +252,7 @@ class PropertyProfile:
 
 def property_profile(sigma: Permutation, alpha: float = 0.5,
                      exact_cap: int = D_EXACT_CAP) -> PropertyProfile:
+    _check_alpha(alpha)
     n = sigma.n
     if n < 2:
         raise QrpermError("profiles need n >= 2")
@@ -289,6 +273,6 @@ def property_profile(sigma: Permutation, alpha: float = 0.5,
         n=n, family=sigma.family, params=sigma.params, ub=ub,
         two_s=two_subseq_stat(sigma, full, full),
         sp_max=sp, e_alpha=alpha,
-        e_alpha_max=eig.value if eig else math.nan,
+        e_alpha_max=eig.value if eig else None,
         t_sum=translation_stat(sigma, first, first),
         pattern_counts=counts)

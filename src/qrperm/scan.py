@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cfrac import cf_of_quadratic, cf_of_rational, zaremba_search
+from .cfrac import (_quotient_stream, cf_of_quadratic, cf_of_rational,
+                    continuant, zaremba_search)
 from .discrepancy import d_star
 from .errors import QrpermError
 from .expsums import _roots
@@ -190,26 +191,12 @@ def _cf_profile(alpha, n: int) -> tuple[int, int, int]:
     else:
         alpha = Fraction(alpha)
         cf = cf_of_rational(alpha.numerator, alpha.denominator)
-    h, k = cf.a0, 1
-    h_prev, k_prev = 1, 0
     quots: list[int] = []
-    i = 0
-    while True:
-        try:
-            a = cf.quotient(i + 1)
-        except QrpermError:
-            break
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        if k > n:
+    for a in _quotient_stream(cf):
+        if continuant(quots + [a]) > n:
             break
         quots.append(a)
-        i += 1
-        if i > 4 * int(math.log(n + 1, 1.6)) + 8:
-            break   # denominators grow at least like Fibonacci
-    if not quots:
-        return (0, 0, 0)
-    return (len(quots), sum(quots), max(quots))
+    return (len(quots), sum(quots), max(quots, default=0))
 
 
 def _sos_point(args: tuple[str, int]) -> list[ScanRecord]:
@@ -288,12 +275,11 @@ def scan_obryant(alpha_label: str, limit: int,
 
 def scan_zaremba(nmin: int, nmax: int, bound) -> list[ScanRecord]:
     """Best bounded-quotient numerator for each denominator n."""
-    bound = Fraction(bound)
     out: list[ScanRecord] = []
     for n in range(max(nmin, 2), nmax + 1):
         z = zaremba_search(n, bound)
         out.append(rec_q("zaremba", n, {"k": z.k}, "max_quotient",
-                         z.max_quotient, float(z.max_quotient / bound)))
+                         z.max_quotient, float(z.max_quotient / z.bound)))
         out.append(rec_q("zaremba", n, {"k": z.k}, "max_prefix_avg",
                          z.max_prefix_average))
         out.append(rec_q("zaremba", n, {"k": z.k}, "certified",

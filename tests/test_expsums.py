@@ -274,6 +274,28 @@ def test_completion_check_random():
         assert rep.ok
 
 
+def _cyclic_window_max(sigma, k):
+    """max |sum e(k sigma(x)/n)| over every cyclic (start, length)
+    window, wrapping ones included, by a running sum from each start."""
+    n = sigma.n
+    terms = [e_direct((k * v % n) / n) for v in sigma.image]
+    best = 0.0
+    for start in range(n):
+        acc = 0j
+        for length in range(n):
+            acc += terms[(start + length) % n]
+            best = max(best, abs(acc))
+    return best
+
+
+def test_completion_max_window_matches_brute_force():
+    for sigma in (random_perm(12, 4), psi(131, 17), random_perm(200, 5)):
+        for k in (1, 2, 5):
+            rep = completion_check(sigma, k)
+            assert_close(rep.max_window, _cyclic_window_max(sigma, k),
+                         tol=1e-9)
+
+
 def test_completion_check_validation():
     with pytest.raises(QrpermError, match="cap"):
         completion_check(identity_perm(10), 1, cap=9)

@@ -28,6 +28,7 @@ from qrperm import (
     translation_stat,
     two_subseq_stat,
 )
+from qrperm import qrstats
 from qrperm.families import Permutation
 
 from conftest import ncr2, oracle_pattern
@@ -216,17 +217,28 @@ def _probe_eigen(sigma, alpha, k, ivl):
     return abs(total) / k ** alpha
 
 
+def _exhaustive_eigen(sigma, alpha):
+    """Max over 1 <= k <= n/2 and every cyclic interval, by a running
+    sum over the lengths from each start."""
+    n = sigma.n
+    best = 0.0
+    for k in range(1, n // 2 + 1):
+        terms = [cmath.exp(-2j * math.pi * k * v / n) for v in sigma.image]
+        for start in range(n):
+            acc = 0j
+            for length in range(n):
+                acc += terms[(start + length) % n]
+                best = max(best, abs(acc) / k ** alpha)
+    return best
+
+
 def test_eigenvalue_stat_small_exhaustive():
-    for seed in (0, 1):
-        sigma = random_perm(12, seed)
+    # n = 131 puts the prefix walk's 132 rows in three 64-row blocks
+    for sigma in (random_perm(12, 0), random_perm(12, 1),
+                  random_perm(131, 2)):
         stat = eigenvalue_stat(sigma, 0.5)
-        best = 0.0
-        for k in range(1, 7):
-            for start in range(12):
-                for length in range(1, 13):
-                    best = max(best, _probe_eigen(sigma, 0.5, k,
-                                                  Interval(12, start, length)))
-        assert stat.value == pytest.approx(best, abs=1e-9)
+        assert stat.value == pytest.approx(_exhaustive_eigen(sigma, 0.5),
+                                           abs=1e-9)
 
 
 def test_eigenvalue_stat_attained_and_dominates_probes():
@@ -252,6 +264,13 @@ def test_eigenvalue_stat_validation():
         eigenvalue_stat(identity_perm(1), 0.5)
     with pytest.raises(SizeRefusedError):
         eigenvalue_stat(psi(13, 5), 0.5, cap=12)
+    for alpha in (math.nan, math.inf, -1.0):
+        for call in (lambda: eigenvalue_stat(psi(13, 5), alpha),
+                     lambda: eigenvalue_stat(psi(13, 5), alpha, cap=12),
+                     lambda: eigenvalue_stat(identity_perm(1), alpha),
+                     lambda: property_profile(psi(13, 5), alpha)):
+            with pytest.raises(QrpermError, match="positive and finite"):
+                call()
 
 
 # ---------------------------------------------------------------- profile
@@ -273,6 +292,21 @@ def test_property_profile_frozen():
     assert data["sp_max"] == {"num": 23, "den": 31}
     with pytest.raises(QrpermError):
         property_profile(identity_perm(1))
+
+
+def test_property_profile_above_eigen_cap_writes_null(monkeypatch):
+    monkeypatch.setattr(qrstats, "EIGEN_CAP", 16)
+    prof = property_profile(psi(31, 7))
+    assert prof.e_alpha_max is None
+    with pytest.raises(QrpermError, match="positive and finite"):
+        property_profile(psi(31, 7), math.nan)
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    data = json.loads(prof.to_json(), parse_constant=refuse)
+    assert data["e_alpha_max"] is None
+    assert data["two_s"] == 69
 
 
 def test_qualitative_ordering_at_256():

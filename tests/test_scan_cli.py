@@ -388,6 +388,44 @@ def test_cli_disc_rejects_non_integer_file(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def _assert_cli_error(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_cli_zaremba_rejects_non_numeric_bound(capsys):
+    err = _assert_cli_error(["zaremba", "--nmin", "5", "--nmax", "6",
+                             "--bound", "abc"], capsys)
+    assert "'abc'" in err
+
+
+def test_cli_zaremba_rejects_zero_denominator_bound(capsys):
+    err = _assert_cli_error(["zaremba", "--nmin", "5", "--nmax", "6",
+                             "--bound", "1/0"], capsys)
+    assert "'1/0'" in err
+
+
+def test_cli_disc_rejects_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "perm.bin"
+    bad.write_bytes(b"3\n0 \xff 2\n")
+    _assert_cli_error(["disc", "--from-file", str(bad)], capsys)
+
+
+def test_cli_rejects_non_utf8_config(tmp_path, capsys):
+    bad = tmp_path / "run.cfg"
+    bad.write_bytes(b"workers = \xff\n")
+    _assert_cli_error(["--config", str(bad), "disc", "--family", "psi",
+                       "--n", "7", "--k", "3"], capsys)
+
+
+def test_cli_stats_rejects_nan_alpha(capsys):
+    err = _assert_cli_error(["stats", "--family", "psi", "--n", "31",
+                             "--k", "7", "--alpha-exp", "nan"], capsys)
+    assert "positive and finite" in err
+
+
 def test_cli_stats_honours_exact_cap(capsys):
     flags = ["--family", "random", "--seed", "1", "--n", "520",
              "--exact-cap", "1024"]
