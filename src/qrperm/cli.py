@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .cfrac import cf_of_rational, zaremba_search
+from .cfrac import _parse_bound, cf_of_rational, zaremba_search
 from .config import RunConfig, parse_int_list, resolve
 from .discrepancy import build_report
 from .errors import QrpermError
@@ -200,8 +200,9 @@ def cmd_zaremba(cfg: RunConfig) -> int:
         records, ms = timed(scan_zaremba, cfg.nmin, cfg.nmax, cfg.bound)
         return _finish_scan(cfg, records, cfg.base,
                             _echo(cfg, "nmin", "nmax", "bound"), ms)
+    bound = _parse_bound(cfg.bound)     # also when the n range is empty
     for n in range(max(cfg.nmin, 2), cfg.nmax + 1):
-        z = zaremba_search(n, cfg.bound)
+        z = zaremba_search(n, bound)
         cf = cf_of_rational(z.k, n)
         mark = "ok" if z.certifies else "exceeds"
         print(f"n={n} k={z.k} cf={cf} max_quotient={z.max_quotient} "

@@ -140,6 +140,8 @@ def resolve(command: str, cli_pairs: dict[str, Any],
     stray = set(merged) - valid
     if stray:
         raise QrpermError(f"unknown config keys: {sorted(stray)}")
+    if merged.get("workers", 1) < 1:
+        raise QrpermError(f"workers must be >= 1, got {merged['workers']}")
     return RunConfig(**merged)
 
 

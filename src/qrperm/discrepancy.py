@@ -7,7 +7,9 @@ matrix, the prefix deviation
     F(a, b) = n*|sigma([0,a)) cap [0,b)| - a*b,    0 <= a, b <= n,
 
 and convert to Fraction only at the API boundary.  _deviation_blocks
-yields its rows a = 1..n a block at a time (row 0 is zero).
+yields its rows a = 1..n a block at a time (row 0 is zero).  Every
+intermediate (n*count, a*b) is at most n^2 and |F| <= n^2/4, so the
+blocks are int32 while n^2 < 2^31 (n <= 46340) and int64 above.
 
     d_star(sigma)   max |F| over initial intervals I = [0,a), J = [0,b).
                     O(n^2) time, O(n) memory (one block of rows).
@@ -53,22 +55,24 @@ def set_discrepancy(s_set, t_set, n: int) -> Fraction:
 
 
 def _deviation_blocks(sigma: Permutation):
-    """Rows a = 1..n of F, up to _BLOCK rows per yielded int64 array of
-    shape (rows, n + 1)."""
+    """Rows a = 1..n of F, up to _BLOCK rows per yielded array of shape
+    (rows, n + 1).  Every intermediate (n*count, a*b) is at most n^2 and
+    |F| <= n^2/4, so the dtype is int32 while n^2 < 2^31 and int64
+    otherwise."""
     n = sigma.n
-    img = np.asarray(sigma.image, dtype=np.int64)
-    brange = np.arange(n + 1, dtype=np.int64)
-    scaled_count = np.zeros(n + 1, dtype=np.int64)  # n * |S cap [0, b)|
+    dtype = np.int32 if n * n < 2**31 else np.int64
+    img = np.asarray(sigma.image, dtype=dtype)
+    brange = np.arange(n + 1, dtype=dtype)
+    scaled_count = np.zeros(n + 1, dtype=dtype)  # n * |S cap [0, b)|
     for start in range(0, n, _BLOCK):
         blk = img[start:start + _BLOCK]
         # in place: every fresh block-sized temporary costs page faults
-        f = np.cumsum(blk[:, None] < brange[None, :], axis=0,
-                      dtype=np.int64)
+        f = np.cumsum(blk[:, None] < brange[None, :], axis=0, dtype=dtype)
         f *= n
         f += scaled_count
         scaled_count[:] = f[-1]
         a_col = np.arange(start + 1, start + 1 + len(blk),
-                          dtype=np.int64)[:, None]
+                          dtype=dtype)[:, None]
         f -= a_col * brange[None, :]
         yield f
 
@@ -86,8 +90,9 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
     if n > cap:
         raise SizeRefusedError(
             f"d_exact is cubic; n = {n} exceeds cap {cap}")
-    f = np.vstack([np.zeros((1, n + 1), dtype=np.int64),
-                   *_deviation_blocks(sigma)])
+    blocks = list(_deviation_blocks(sigma))
+    # the blocks' dtype holds ptp: |F_j - F_i| <= n^2/2, so ptp <= n^2
+    f = np.vstack([np.zeros_like(blocks[0][:1]), *blocks])
     diff = np.empty_like(f)  # reused: fresh MB-sized temporaries page-fault
     best = 0
     for j in range(1, n + 1):

@@ -19,14 +19,15 @@ import json
 import math
 import multiprocessing
 import os
+import tempfile
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cfrac import (_quotient_stream, cf_of_quadratic, cf_of_rational,
-                    continuant, zaremba_search)
+from .cfrac import (_parse_bound, _quotient_stream, cf_of_quadratic,
+                    cf_of_rational, continuant, zaremba_search)
 from .discrepancy import d_star
 from .errors import QrpermError
 from .expsums import _roots
@@ -92,9 +93,11 @@ def _pool_map(fn, points, workers: int):
 # ---------------------------------------------------------------- psi scan
 
 def _psi_prime(p: int) -> list[ScanRecord]:
-    vals: list[Fraction] = []
+    vals: list[Fraction] = [Fraction(0)] * (p - 1)   # D*(psi_k) at k - 1
     for k in range(1, p):
-        vals.append(d_star(psi(p, k)))
+        inv = pow(k, -1, p)
+        if inv >= k:    # else the pair was filled at k = inv
+            vals[k - 1] = vals[inv - 1] = d_star(psi(p, k))
     total = sum(vals, Fraction(0))
     mean = total / (p - 1)
     best = min(vals)
@@ -122,8 +125,14 @@ def _psi_prime(p: int) -> list[ScanRecord]:
 def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
     """For every prime p in [pmin, pmax]: mean and min over k of
     D*(psi_k), with log-power normalizations in both bases, and the
-    continued fraction shape of the minimising k/p."""
-    points = [p for p in range(max(pmin, 3), pmax + 1) if is_prime(p)]
+    continued fraction shape of the minimising k/p.
+
+    One D* call serves each pair {k, k^-1}.  psi_{k^-1} is the inverse
+    of psi_k, and inverting sigma transposes F(a, b) = n*|sigma([0,a))
+    cap [0,b)| - a*b, so max |F| is unchanged.  Negation k -> p - k is
+    not a D* symmetry.  Primes go to the pool largest first, since the
+    cost per prime grows like p^3."""
+    points = [p for p in range(pmax, max(pmin, 3) - 1, -1) if is_prime(p)]
     out: list[ScanRecord] = []
     for chunk in _pool_map(_psi_prime, points, workers):
         out.extend(chunk)
@@ -173,8 +182,8 @@ def scan_gauss(pmin: int, pmax: int, a_values=(1,),
     over all cut points M, normalized by p^{3/4}; one global-max row
     per prime."""
     a_values = tuple(a_values)
-    points = [(p, a_values) for p in range(max(pmin, 5), pmax + 1)
-              if is_prime(p)]
+    points = [(p, a_values) for p in range(pmax, max(pmin, 5) - 1, -1)
+              if is_prime(p)]    # largest first, for the pool
     out: list[ScanRecord] = []
     for chunk in _pool_map(_gauss_prime, points, workers):
         out.extend(chunk)
@@ -235,7 +244,8 @@ def scan_sos(alpha_labels, n_list, workers: int = 1) -> list[ScanRecord]:
     D*(beta_alpha) <= 2 * max_s d*."""
     for label in alpha_labels:
         parse_alpha(label)          # fail fast on typos, outside the pool
-    points = [(label, int(n)) for label in alpha_labels for n in n_list]
+    points = [(label, n) for n in sorted(map(int, n_list), reverse=True)
+              for label in alpha_labels]    # largest first, for the pool
     if not points:
         raise QrpermError("empty sos scan")
     out: list[ScanRecord] = []
@@ -275,6 +285,7 @@ def scan_obryant(alpha_label: str, limit: int,
 
 def scan_zaremba(nmin: int, nmax: int, bound) -> list[ScanRecord]:
     """Best bounded-quotient numerator for each denominator n."""
+    bound = _parse_bound(bound)     # also when the n range is empty
     out: list[ScanRecord] = []
     for n in range(max(nmin, 2), nmax + 1):
         z = zaremba_search(n, bound)
@@ -322,7 +333,9 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
     The CSV body (header + data rows, not the leading config comment) is
     what the summary's sha256 covers; the comment line is excluded
     because it echoes knobs like the worker count that must not perturb
-    the digest.
+    the digest.  Both files are written in full to a temporary directory
+    in out_dir and only then renamed into place, so a failure while
+    writing leaves an existing pair as it was.
     """
     os.makedirs(out_dir, exist_ok=True)
     seen = set()
@@ -335,10 +348,7 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
     digest = hashlib.sha256(
         ("\n".join(body) + "\n").encode()).hexdigest()
     echo = " ".join(f"{k}={config_echo[k]}" for k in sorted(config_echo))
-    csv_path = os.path.join(out_dir, base + ".csv")
-    with open(csv_path, "w") as fh:
-        fh.write(f"# config: {echo}\n")
-        fh.write("\n".join(body) + "\n")
+    csv_text = f"# config: {echo}\n" + "\n".join(body) + "\n"
 
     per_stat: dict[str, list[float]] = {}
     for r in records:
@@ -360,10 +370,18 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
             for stat, vals in sorted(per_stat.items())
         },
     }
+    csv_path = os.path.join(out_dir, base + ".csv")
     summary_path = os.path.join(out_dir, base + "_summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
+        csv_tmp = os.path.join(tmp, "csv")
+        summary_tmp = os.path.join(tmp, "summary")
+        with open(csv_tmp, "w") as fh:
+            fh.write(csv_text)
+        with open(summary_tmp, "w") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(csv_tmp, csv_path)
+        os.replace(summary_tmp, summary_path)
     return EmitResult(csv_path, summary_path, digest, len(records))
 
 

@@ -4,6 +4,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from qrperm import (
     sqrt_irr,
     verify_interval_hits,
 )
+from qrperm.discrepancy import _deviation_blocks
 from qrperm.families import Permutation
 
 from conftest import (
@@ -95,6 +97,7 @@ def test_sandwich_and_inverse_symmetry(small_corpus):
         de = d_exact(sigma)
         assert ds <= de <= 4 * ds or (ds == 0 and de == 0)
         assert d_exact(invert(sigma)) == de
+        assert d_star(invert(sigma)) == ds
 
 
 def test_identity_discrepancy_grows_linearly():
@@ -106,6 +109,12 @@ def test_size_cap_refusal():
     sigma = identity_perm(40)
     with pytest.raises(SizeRefusedError):
         d_exact(sigma, cap=39)
+
+
+def test_deviation_block_dtype_boundary():
+    # n^2 < 2^31 exactly up to n = 46340
+    assert next(_deviation_blocks(identity_perm(46340))).dtype == np.int32
+    assert next(_deviation_blocks(identity_perm(46341))).dtype == np.int64
 
 
 # ------------------------------------------------------------- real star

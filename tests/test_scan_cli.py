@@ -59,14 +59,15 @@ def test_corpus_is_deterministic_and_diverse():
 
 # ------------------------------------------------------------------ scans
 
-def test_scan_psi_values_recompute():
-    records = scan_psi(5, 5)
+@pytest.mark.parametrize("p", [5, 131])   # 131 spans two 128-row blocks
+def test_scan_psi_values_recompute(p):
+    records = scan_psi(p, p)
     by_stat = {r.statistic: r for r in records}
-    dstars = [d_star(psi(5, k)) for k in range(1, 5)]
-    mean = sum(dstars, Fraction(0)) / 4
+    dstars = [d_star(psi(p, k)) for k in range(1, p)]
+    mean = sum(dstars, Fraction(0)) / (p - 1)
     r = by_stat["mean_dstar"]
     assert Fraction(r.value_num, r.value_den) == mean
-    assert r.normalized == pytest.approx(float(mean) / math.log(5) ** 2,
+    assert r.normalized == pytest.approx(float(mean) / math.log(p) ** 2,
                                          rel=1e-12)
     r = by_stat["min_dstar"]
     assert Fraction(r.value_num, r.value_den) == min(dstars)
@@ -197,6 +198,22 @@ def test_emit_digest_ignores_config_echo(tmp_path):
     first_a = open(a.csv_path).readline()
     first_b = open(b.csv_path).readline()
     assert first_a != first_b
+
+
+def test_emit_failure_keeps_existing_pair(tmp_path, monkeypatch):
+    first = emit(scan_psi(5, 11), str(tmp_path), "t", {"workers": 1})
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        emit(scan_psi(5, 13), str(tmp_path), "t", {"workers": 1})
+    assert sorted(os.listdir(tmp_path)) == ["t.csv", "t_summary.json"]
+    body = open(first.csv_path).read().split("\n", 1)[1]
+    summary = json.loads(open(first.summary_path).read())
+    assert hashlib.sha256(body.encode()).hexdigest() == \
+        summary["csv_body_sha256"] == first.body_sha256
 
 
 def test_emit_rejects_duplicate_records(tmp_path):
@@ -405,6 +422,25 @@ def test_cli_zaremba_rejects_zero_denominator_bound(capsys):
     err = _assert_cli_error(["zaremba", "--nmin", "5", "--nmax", "6",
                              "--bound", "1/0"], capsys)
     assert "'1/0'" in err
+
+
+def test_cli_zaremba_rejects_bad_bound_on_empty_range(capsys):
+    err = _assert_cli_error(["zaremba", "--nmin", "6", "--nmax", "5",
+                             "--bound", "abc"], capsys)
+    assert "'abc'" in err
+
+
+def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, capsys):
+    scan = ["scan-psi", "--pmin", "5", "--pmax", "7",
+            "--out", str(tmp_path)]
+    err = _assert_cli_error([*scan, "--workers", "-2"], capsys)
+    assert "workers must be >= 1, got -2" in err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("workers = 0\n")
+    _assert_cli_error(["--config", str(cfg_file), *scan], capsys)
+    monkeypatch.setenv("QRPERM_WORKERS", "0")
+    _assert_cli_error(scan, capsys)
+    assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
 
 
 def test_cli_disc_rejects_non_utf8_file(tmp_path, capsys):
