@@ -6,13 +6,27 @@ matrix, the prefix deviation
 
     F(a, b) = n*|sigma([0,a)) cap [0,b)| - a*b,    0 <= a, b <= n,
 
-and convert to Fraction only at the API boundary.  _deviation_blocks
-yields its rows a = 1..n a block at a time (row 0 is zero).  Every
-intermediate (n*count, a*b) is at most n^2 and |F| <= n^2/4, so the
-blocks are int32 while n^2 < 2^31 (n <= 46340) and int64 above.
+and convert to Fraction only at the API boundary.  _deviation_rows
+builds any set of rows in closed form,
+
+    F(a, b) = n*#{v < b : sigma^-1(v) < a} - a*b,
+
+from one comparison of sigma^-1 against the row indices and one cumsum
+along the contiguous b axis.  Every intermediate (n*count, a*b) is at
+most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
+(n <= 46340) and int64 above.
 
     d_star(sigma)   max |F| over initial intervals I = [0,a), J = [0,b).
-                    O(n^2) time, O(n) memory (one block of rows).
+                    Rows 0..n-1 (row n is zero) are cut into _SEGMENTS
+                    runs of span = ceil(n/_SEGMENTS) rows; the last run
+                    starts at n - span and may overlap the one before
+                    it, which a max does not notice.  Each run starts
+                    from a closed-form row and all runs step together by
+                    the recurrence
+                        F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b,
+                    so the Python loop runs span - 1 times over whole-row
+                    vector operations (|F| + n < 2^31 keeps int32 safe).
+                    O(n^2) time, O(n) memory.
     d_exact(sigma)  max over all cyclic interval pairs.  For I = [i,j)
                     and J = [c,d) the signed deviation is
                     F(j,d) - F(i,d) - F(j,c) + F(i,c), so the best J for
@@ -35,13 +49,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import QrpermError, SizeRefusedError
 from .families import Permutation
 from .intervals import Interval
 
 D_EXACT_CAP = 512
-_BLOCK = 128
+_SEGMENTS = 32
 
 
 def set_discrepancy(s_set, t_set, n: int) -> Fraction:
@@ -54,33 +69,51 @@ def set_discrepancy(s_set, t_set, n: int) -> Fraction:
     return Fraction(abs(n * len(s & t) - len(s) * len(t)), n)
 
 
-def _deviation_blocks(sigma: Permutation):
-    """Rows a = 1..n of F, up to _BLOCK rows per yielded array of shape
-    (rows, n + 1).  Every intermediate (n*count, a*b) is at most n^2 and
-    |F| <= n^2/4, so the dtype is int32 while n^2 < 2^31 and int64
-    otherwise."""
+def _deviation_rows(sigma: Permutation, starts) -> np.ndarray:
+    """The rows F(a, .) for each a in starts, shape (len(starts), n + 1),
+    in closed form: F(a, b) = n*#{v < b : sigma^-1(v) < a} - a*b, one
+    comparison of sigma^-1 against the starts and one cumsum along b."""
     n = sigma.n
     dtype = np.int32 if n * n < 2**31 else np.int64
-    img = np.asarray(sigma.image, dtype=dtype)
-    brange = np.arange(n + 1, dtype=dtype)
-    scaled_count = np.zeros(n + 1, dtype=dtype)  # n * |S cap [0, b)|
-    for start in range(0, n, _BLOCK):
-        blk = img[start:start + _BLOCK]
-        # in place: every fresh block-sized temporary costs page faults
-        f = np.cumsum(blk[:, None] < brange[None, :], axis=0, dtype=dtype)
-        f *= n
-        f += scaled_count
-        scaled_count[:] = f[-1]
-        a_col = np.arange(start + 1, start + 1 + len(blk),
-                          dtype=dtype)[:, None]
-        f -= a_col * brange[None, :]
-        yield f
+    inv = np.empty(n, dtype=dtype)
+    inv[list(sigma.image)] = np.arange(n, dtype=dtype)
+    a_col = np.asarray(starts, dtype=dtype)[:, None]
+    f = np.zeros((len(a_col), n + 1), dtype=dtype)
+    np.cumsum(inv < a_col, axis=1, dtype=dtype, out=f[:, 1:])
+    f *= n
+    f -= a_col * np.arange(n + 1, dtype=dtype)
+    return f
 
 
 def d_star(sigma: Permutation) -> Fraction:
-    """Initial-interval discrepancy max |F|, exact."""
-    best = max(int(np.abs(f, out=f).max()) for f in _deviation_blocks(sigma))
-    return Fraction(best, sigma.n)
+    """Initial-interval discrepancy max |F|, exact.
+
+    Rows 0..n-1 are cut into runs of span = ceil(n / _SEGMENTS) rows (row
+    n is zero).  The last run starts at n - span and may overlap the one
+    before it; rows seen twice do not change a max.  Each run's first row
+    comes from _deviation_rows, and then all runs step forward together
+    by F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b, so the Python loop runs
+    span - 1 times over whole-row vector operations.  The row
+    b -> n*[b > v] is the window at n - v of one array of length 2n + 1.
+    """
+    n = sigma.n
+    span = -(-n // _SEGMENTS)
+    starts = np.minimum(np.arange(0, n, span), n - span)
+    f = _deviation_rows(sigma, starts)
+    b_row = np.arange(n + 1, dtype=f.dtype)
+    steps = np.zeros(2 * n + 1, dtype=f.dtype)
+    steps[n + 1:] = n
+    # fancy indexing gathers only the rows it needs; np.take would first
+    # copy the whole (n+1)^2 view
+    step_rows = sliding_window_view(steps, n + 1)
+    shift = n - np.asarray(sigma.image)
+    hi, lo = int(f.max()), int(f.min())
+    for t in range(span - 1):  # row starts + t becomes starts + t + 1
+        f += step_rows[shift[starts + t]]
+        f -= b_row
+        hi = max(hi, int(f.max()))
+        lo = min(lo, int(f.min()))
+    return Fraction(max(hi, -lo), n)
 
 
 def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
@@ -90,9 +123,8 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
     if n > cap:
         raise SizeRefusedError(
             f"d_exact is cubic; n = {n} exceeds cap {cap}")
-    blocks = list(_deviation_blocks(sigma))
-    # the blocks' dtype holds ptp: |F_j - F_i| <= n^2/2, so ptp <= n^2
-    f = np.vstack([np.zeros_like(blocks[0][:1]), *blocks])
+    # F's dtype holds ptp: |F_j - F_i| <= n^2/2, so ptp <= n^2
+    f = _deviation_rows(sigma, np.arange(n + 1))
     diff = np.empty_like(f)  # reused: fresh MB-sized temporaries page-fault
     best = 0
     for j in range(1, n + 1):

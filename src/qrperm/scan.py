@@ -388,7 +388,9 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
 def write_plot_data(records: list[ScanRecord], path: str,
                     statistic: str) -> int:
     """Tidy (x, y, series) rows for one statistic, ready for gnuplot or
-    a notebook; y is the normalized column when present."""
+    a notebook; y is the normalized column when present.  Raises
+    QrpermError, and writes no file, when no record carries the
+    statistic."""
     rows = ["x,y,series"]
     for r in sorted(records, key=_sort_key):
         if r.statistic != statistic:
@@ -401,6 +403,8 @@ def write_plot_data(records: list[ScanRecord], path: str,
             y = _fmt_float(r.value_num / r.value_den)
         series = _params_str(r.params) or r.family
         rows.append(f"{r.n_or_p},{y},{series}")
+    if len(rows) == 1:
+        raise QrpermError(f"no rows carry statistic {statistic!r}")
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     return len(rows) - 1

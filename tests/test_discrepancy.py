@@ -16,6 +16,7 @@ from qrperm import (
     build_report,
     d_exact,
     d_star,
+    golden,
     identity_perm,
     interval_hit,
     invert,
@@ -31,7 +32,7 @@ from qrperm import (
     sqrt_irr,
     verify_interval_hits,
 )
-from qrperm.discrepancy import _deviation_blocks
+from qrperm.discrepancy import _deviation_rows
 from qrperm.families import Permutation
 
 from conftest import (
@@ -67,6 +68,25 @@ def test_d_star_matches_oracle_on_families():
         want = oracle_d_star(sigma)
         assert d_star(sigma) == want
         assert oracle_d_star_cubic(sigma) == want
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: random_perm(n, n) for n in (1, 2, 31, 32, 33, 63, 64, 65)),
+    lambda: random_perm(263, 1),
+    lambda: random_perm(263, 2),
+    lambda: psi(1031, 5),
+    lambda: sos_perm(2048, golden()),
+], ids=[*(f"random-{n}" for n in (1, 2, 31, 32, 33, 63, 64, 65)),
+        "random-263-1", "random-263-2", "psi-1031", "sos-2048"])
+def test_d_star_matches_oracle_across_runs(make):
+    # d_star sweeps runs of ceil(n/32) rows: one-row runs below 32, full
+    # runs at 32 and 64, an overlapping last run at 33 and 65, long runs
+    # above
+    sigma = make()
+    ds = d_star(sigma)
+    assert ds == oracle_d_star(sigma)
+    if sigma.n == 2048:
+        assert d_star(invert(sigma)) == ds
 
 
 @given(st.integers(1, 48), st.integers(0, 2**32))
@@ -111,10 +131,10 @@ def test_size_cap_refusal():
         d_exact(sigma, cap=39)
 
 
-def test_deviation_block_dtype_boundary():
+def test_deviation_rows_dtype_boundary():
     # n^2 < 2^31 exactly up to n = 46340
-    assert next(_deviation_blocks(identity_perm(46340))).dtype == np.int32
-    assert next(_deviation_blocks(identity_perm(46341))).dtype == np.int64
+    for n, dtype in ((46340, np.int32), (46341, np.int64)):
+        assert _deviation_rows(identity_perm(n), np.arange(1)).dtype == dtype
 
 
 # ------------------------------------------------------------- real star

@@ -372,6 +372,7 @@ def test_cli_scan_plot_unknown_statistic(tmp_path, capsys):
                  "--out", str(tmp_path), "--base", "t2",
                  "--plot", "nope"]) == 1
     assert "nope" in capsys.readouterr().err
+    assert not (tmp_path / "t2_plot_nope.csv").exists()
 
 
 def test_cli_zaremba_stdout(capsys):
