@@ -81,7 +81,7 @@ def erdos_turan_needed_c(max_n: int) -> tuple[float, str]:
         unit = np.exp(2j * np.pi * (ks[:, None] * img[None, :] % n) / n)
         mags = np.abs(np.cumsum(unit, axis=1))        # (k, m), m = 1..n
         tail = np.cumsum(mags / ks[:, None], axis=0)  # (K, m)
-        discs = prefix_star_nums(img, n) / n
+        discs = prefix_star_nums(img, img, n) / n
         ms = np.arange(1, n + 1, dtype=np.float64)
         denom = ms[None, :] / ks[:, None].astype(np.float64) + tail
         needed = (discs[None, :] / denom).max()
@@ -103,8 +103,9 @@ def golden_ratio_table() -> list[tuple[int, float, float]]:
     rows = []
     for e in range(6, 14):
         n = 2 ** e
-        ratio = float(d_star(sos_perm(n, golden()))) / math.log2(n)
-        prefix = max_prefix_star(golden(), n).value
+        beta = sos_perm(n, golden())
+        ratio = float(d_star(beta)) / math.log2(n)
+        prefix = max_prefix_star(golden(), beta).value
         rows.append((n, ratio, prefix))
     return rows
 

@@ -209,6 +209,8 @@ def cmd_zaremba(cfg: RunConfig) -> int:
 
 
 def cmd_obryant(cfg: RunConfig) -> int:
+    if cfg.n is not None and cfg.n < 1:
+        raise QrpermError(f"--n must be >= 1, got {cfg.n}")
     targets = parse_int_list(cfg.targets, "--targets")
     if cfg.base:
         records, ms = timed(scan_obryant, cfg.alpha, cfg.limit, targets)

@@ -23,15 +23,16 @@ byte-exact.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cfrac import cf_of_quadratic
 from .errors import (AmbiguousOrderError, NotAPermutationError, NotAUnitError,
                      QrpermError)
 from .modular import as_prime, is_primitive_root, mod_inv, multiplicative_order
-from .quadirr import QuadraticIrrational, alpha_label, frac_compare, frac_float
+from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
+                      frac_compare)
 
 _MASK64 = (1 << 64) - 1
 
@@ -169,10 +170,10 @@ def sos_perm(n: int, alpha, tie_break: bool = False) -> Permutation:
     """Three-distance ranking: position s-1 gets the 0-based rank of
     {alpha*s} among {alpha*1}, ..., {alpha*n}.
 
-    alpha may be a QuadraticIrrational, Fraction, or int.  All
-    comparisons are exact.  Rational alphas can tie; without
-    tie_break that raises AmbiguousOrderError naming a colliding pair,
-    with tie_break=True the smaller s ranks first.
+    alpha may be a QuadraticIrrational (a certified three-distance
+    walk, see below), Fraction, or int.  Rational alphas can tie;
+    without tie_break that raises AmbiguousOrderError naming a
+    colliding pair, with tie_break=True the smaller s ranks first.
     """
     if n < 1:
         raise QrpermError("n must be >= 1")
@@ -196,13 +197,35 @@ def sos_perm(n: int, alpha, tie_break: bool = False) -> Permutation:
 
 
 def _sorted_exact_irrational(n: int, alpha: QuadraticIrrational) -> list[int]:
-    # float keys first, then certify each adjacent pair exactly; the
-    # full comparator sort only runs if the certificate fails.
-    order = sorted(range(1, n + 1), key=lambda s: frac_float(alpha, s))
-    if all(frac_compare(alpha, u, v) < 0 for u, v in zip(order, order[1:])):
-        return order
-    cmp = functools.cmp_to_key(lambda u, v: frac_compare(alpha, u, v))
-    return sorted(range(1, n + 1), key=cmp)
+    """1..n sorted by {s*alpha}: Sos (1958), Swierczkowski (1959).
+
+    p1, pN = argmin, argmax of {q*alpha} over q <= n are the last
+    convergent denominator q_k <= n and the largest q_{k-1} + j*q_k <= n,
+    ordered by one frac_compare; the order is the walk from p1 by
+    s + p1 if s <= n - p1, s - pN if s > pN, else s + p1 - pN.  A step
+    ascends if its floor increment is its kind's floor(p1*alpha),
+    -floor(pN*alpha) - 1 or their sum, and is never below that.  With
+    p1 + pN > n a walk over all of 1..n ends at pN and takes n - p1,
+    n - pN and p1 + pN - n - 1 steps of the kinds; its total excess
+    p1*(floor(pN*alpha) + 1) - pN*floor(p1*alpha) - 1 must be 0.
+    """
+    cf = cf_of_quadratic(alpha)
+    q_prev, q, i = 0, 1, 1
+    while (nxt := cf.quotient(i) * q + q_prev) <= n:
+        q_prev, q, i = q, nxt, i + 1
+    semi = q_prev + (n - q_prev) // q * q
+    p1, pn = (q, semi) if frac_compare(alpha, q, semi) < 0 else (semi, q)
+    order = [p1]
+    for _ in range(n - 1):
+        s = order[-1]
+        order.append(s + p1 if s <= n - p1 else
+                     s - pn if s > pn else s + p1 - pn)
+    if (len(set(order)) != n or p1 + pn <= n
+            or p1 * (floor_multiple(alpha, pn) + 1)
+            - pn * floor_multiple(alpha, p1) != 1):
+        raise QrpermError(f"alpha={alpha_label(alpha)}, n={n}: walk from "
+                          f"p1={p1} to pN={pn} failed its certificate")
+    return order
 
 
 def bit_reversal(n: int) -> Permutation:

@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import QrpermError, SizeRefusedError
-from .families import Permutation, sos_perm
-from .quadirr import QuadraticIrrational, frac_compare, frac_float
+from .families import Permutation
+from .quadirr import QuadraticIrrational, alpha_label, frac_compare, frac_float
 
 
 def b_of_k(alpha, k: int) -> int:
@@ -135,66 +135,51 @@ class PrefixStar:
     final: Fraction | float   # the s = n value
 
 
-def max_prefix_star(alpha, n: int) -> PrefixStar:
+def max_prefix_star(alpha, beta: Permutation) -> PrefixStar:
     """Star discrepancy of every prefix of ({s*alpha})_{s<=n}, maximised.
 
-    The candidate set is the same one real_star_disc uses; the trick is
-    that the rank bookkeeping across prefixes only needs the *order* of
-    the fractional parts, and sos_perm already certifies that order
-    exactly.  The linear term s*{x*alpha} is evaluated in floats whose
-    error (a few ulps from frac_float) is far below the 1/n**2 gap
-    floor for a quadratic irrational, so the returned float is correct
-    to ~1e-11 absolute.  Rational alpha takes an all-integer path and
-    returns an exact Fraction.
+    beta is sos_perm(n, alpha), with or without tie_break; any other
+    beta is refused.  Its exact order drives one prefix_star_nums sweep
+    over the residues (rational alpha: an exact Fraction) or over the
+    frac_float keys with den = 1 (irrational alpha: their few-ulp error
+    is far below the 1/n**2 gap floor, so ~1e-11 absolute).
     """
-    if n < 1:
-        raise QrpermError("need n >= 1")
+    label = alpha_label(alpha)
+    if beta.family != "sos" or beta.param_dict().get("alpha") != label:
+        raise QrpermError(f"beta is not the Sos ranking of alpha={label}")
     if isinstance(alpha, QuadraticIrrational):
-        sigma = sos_perm(n, alpha)
-        g = np.asarray(sigma.image, dtype=np.int64)
-        keys = np.array([frac_float(alpha, s) for s in range(1, n + 1)])
-        # distinct points: cnt - 1 is the strict count, so one counter suffices
-        cnt = np.zeros(n, dtype=np.int64)
-        best = -1.0
-        best_s = 1
-        final = 0.0
-        for s in range(1, n + 1):
-            cnt += g >= g[s - 1]
-            lin = s * keys[:s]
-            at = np.abs(cnt[:s] - lin)
-            before = np.abs(cnt[:s] - 1 - lin)
-            here = float(max(at.max(), before.max()))
-            if here > best:
-                best, best_s = here, s
-            if s == n:
-                final = here
-        return PrefixStar(best, best_s, final)
-
-    alpha = Fraction(alpha)
-    den = alpha.denominator
-    nums = prefix_star_nums([(alpha.numerator * s) % den
-                             for s in range(1, n + 1)], den)
+        den, r = 1, [frac_float(alpha, s) for s in range(1, beta.n + 1)]
+    else:
+        alpha = Fraction(alpha)
+        den = alpha.denominator
+        r = [alpha.numerator * s % den for s in range(1, beta.n + 1)]
+    nums = prefix_star_nums(beta.image, r, den)
     best_s = int(np.argmax(nums)) + 1  # first maximum, smallest s
-    return PrefixStar(Fraction(int(nums[best_s - 1]), den), best_s,
-                      Fraction(int(nums[-1]), den))
+    value, final = nums[best_s - 1].item(), nums[-1].item()
+    if isinstance(alpha, Fraction):
+        value, final = Fraction(value, den), Fraction(final, den)
+    return PrefixStar(value, best_s, final)
 
 
-def prefix_star_nums(r, den: int) -> np.ndarray:
+def prefix_star_nums(ranks, r, den: int) -> np.ndarray:
     """Star discrepancy (count scale) of every prefix of the points
-    r[q] / den, times den, exact; ties allowed.  Entry s - 1 covers the
-    first s points."""
+    r[q] / den, times den; entry s - 1 covers the first s points.
+    ranks orders the points as r does, ties broken either way, so one
+    counter cnt(t) = #{q <= s : rank_q <= rank_t} runs over tied points
+    from the open count + 1 to the closed one and serves both box
+    conventions.  Exact for integer r; float r (den = 1) rounds
+    monotonically, so it matches separate counters bit for bit."""
     n = len(r)
     if den * (n + 1) >= 2**62:
         raise SizeRefusedError("denominator too large for the exact "
                                "integer sweep")
-    r = np.asarray(r, dtype=np.int64)
-    cnt_le = np.zeros(n, dtype=np.int64)
-    cnt_lt = np.zeros(n, dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
+    g = np.asarray(ranks, dtype=np.int64)
+    r = np.asarray(r)
+    cnt = np.zeros(n, dtype=np.int64)
+    out = np.empty(n, dtype=r.dtype)
     for s in range(1, n + 1):
-        cnt_le += r >= r[s - 1]
-        cnt_lt += r > r[s - 1]
+        cnt += g >= g[s - 1]
         lin = s * r[:s]
-        out[s - 1] = max((den * cnt_le[:s] - lin).max(),
-                         (lin - den * cnt_lt[:s]).max())
+        out[s - 1] = max((den * cnt[:s] - lin).max(),
+                         (lin - den * (cnt[:s] - 1)).max())
     return out

@@ -216,7 +216,7 @@ def _sos_point(args: tuple[str, int]) -> list[ScanRecord]:
     sigma = sos_perm(n, alpha, tie_break=not isinstance(
         alpha, QuadraticIrrational))
     ds = d_star(sigma)
-    prefix = max_prefix_star(alpha, n)
+    prefix = max_prefix_star(alpha, sigma)
     log2n = math.log2(n) if n > 1 else 1.0
     pm = dict(alpha=label)
     out = [
@@ -248,6 +248,11 @@ def scan_sos(alpha_labels, n_list, workers: int = 1) -> list[ScanRecord]:
               for label in alpha_labels]    # largest first, for the pool
     if not points:
         raise QrpermError("empty sos scan")
+    if points[-1][1] < 1:           # sizes run down; before any work
+        raise QrpermError(f"sos scan sizes must be >= 1, got {points[-1][1]}")
+    for i, (label, n) in enumerate(points):
+        if (label, n) in points[:i]:
+            raise QrpermError(f"duplicate sos scan point alpha={label} n={n}")
     out: list[ScanRecord] = []
     for chunk in _pool_map(_sos_point, points, workers):
         out.extend(chunk)

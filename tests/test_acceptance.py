@@ -365,8 +365,9 @@ def test_c10_golden_ratio_trend_and_discrelation():
     float_bad = 0
     for alpha in alphas:
         for n in ns:
-            ds = float(d_star(sos_perm(n, alpha)))
-            if ds > 2 * max_prefix_star(alpha, n).value + 1e-9:
+            beta = sos_perm(n, alpha)
+            ds = float(d_star(beta))
+            if ds > 2 * max_prefix_star(alpha, beta).value + 1e-9:
                 float_bad += 1
             if alpha is alphas[0]:
                 ratios.append(ds / math.log2(n))

@@ -8,10 +8,22 @@ from qrperm import calibration
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "calibrate.py"
 
 
-def test_erdos_turan_sweep_stays_under_pin():
+def _load_script():
     spec = importlib.util.spec_from_file_location("calibrate", SCRIPT)
     calibrate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(calibrate)
-    needed, worst_at = calibrate.erdos_turan_needed_c(32)
+    return calibrate
+
+
+def test_erdos_turan_sweep_stays_under_pin():
+    needed, worst_at = _load_script().erdos_turan_needed_c(32)
     assert 0 < needed <= calibration.ERDOS_TURAN_C
     assert "n=" in worst_at
+
+
+def test_golden_ratio_table_stays_under_pin():
+    rows = _load_script().golden_ratio_table()
+    assert [n for n, _, _ in rows] == [2 ** e for e in range(6, 14)]
+    for n, ratio, prefix in rows:
+        assert 0 < ratio <= calibration.GOLDEN_RATIO_BOUND, n
+        assert prefix > 0

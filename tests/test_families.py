@@ -1,5 +1,6 @@
 """Permutation family tables, algebraic identities, and constructor errors."""
 
+import functools
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -19,12 +20,14 @@ from qrperm import (
     bit_reversal,
     compose,
     eta_power,
+    frac_compare,
     from_text,
     golden,
     identity_perm,
     invert,
     lambda_inv,
     mod_inv,
+    parse_alpha,
     psi,
     random_perm,
     reversal_perm,
@@ -150,6 +153,32 @@ def test_sos_matches_decimal_oracle_large(label, make):
     for rank, s in enumerate(order):
         image[s - 1] = rank
     assert sos_perm(n, alpha).image == tuple(image)
+
+
+@pytest.mark.parametrize("label", [
+    "golden", "-golden", "sqrt:2", "sqrt:61", "sqrt:1000001", "-sqrt:13",
+    "quad:1,3,13,5"])
+def test_sos_walk_matches_comparator_sort(label):
+    alpha = parse_alpha(label)
+    cmp = functools.cmp_to_key(lambda u, v: frac_compare(alpha, u, v))
+    for n in range(1, 81):
+        order = sorted(range(1, n + 1), key=cmp)
+        image = [0] * n
+        for rank, s in enumerate(order):
+            image[s - 1] = rank
+        assert sos_perm(n, alpha).image == tuple(image), n
+
+
+def test_sos_walk_certificate_rejects_swapped_extremes(monkeypatch):
+    # a flipped comparator swaps p1 and pN; the surd certificate must
+    # catch it, since nothing else checks the walk's order
+    import qrperm.families as families
+    real = families.frac_compare
+    monkeypatch.setattr(families, "frac_compare",
+                        lambda alpha, s, t: -real(alpha, s, t))
+    for n in (2, 5, 17, 100):
+        with pytest.raises(QrpermError, match="certificate"):
+            sos_perm(n, golden())
 
 
 def test_sos_rational_tie_handling():

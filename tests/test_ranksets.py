@@ -121,7 +121,7 @@ def test_gap_check_holds_across_small_families(small_corpus):
 # ------------------------------------------------------------ prefix star
 
 def test_max_prefix_star_frozen_golden():
-    ps = max_prefix_star(golden(), 20)
+    ps = max_prefix_star(golden(), sos_perm(20, golden()))
     assert ps.value == pytest.approx(1.3769410125094588, abs=1e-9)
     assert ps.argmax_s == 15
     assert ps.final == pytest.approx(1.2291236000336312, abs=1e-9)
@@ -143,7 +143,7 @@ def test_max_prefix_star_matches_oracle_irrational():
     for alpha in (golden(), sqrt_irr(2), sqrt_irr(3)):
         n = 48
         want, want_s, want_final = _oracle_prefix_star_float(alpha, n)
-        ps = max_prefix_star(alpha, n)
+        ps = max_prefix_star(alpha, sos_perm(n, alpha))
         assert ps.value == pytest.approx(want, abs=1e-9)
         assert ps.argmax_s == want_s
         assert ps.final == pytest.approx(want_final, abs=1e-9)
@@ -151,17 +151,23 @@ def test_max_prefix_star_matches_oracle_irrational():
 
 def test_prefix_star_nums_matches_oracle_with_ties():
     r, den = [3, 0, 3, 5, 1, 0, 6, 3], 7
-    nums = prefix_star_nums(r, den)
-    for s in range(1, len(r) + 1):
-        points = [Fraction(v, den) for v in r[:s]]
-        assert Fraction(int(nums[s - 1]), den) == \
-            Fraction(real_star_disc(points).half_open)
+    # rank the points, breaking each tie by position in either order
+    for tie in (1, -1):
+        order = sorted(range(len(r)), key=lambda q: (r[q], tie * q))
+        ranks = [0] * len(r)
+        for rank, q in enumerate(order):
+            ranks[q] = rank
+        nums = prefix_star_nums(ranks, r, den)
+        for s in range(1, len(r) + 1):
+            points = [Fraction(v, den) for v in r[:s]]
+            assert Fraction(int(nums[s - 1]), den) == \
+                Fraction(real_star_disc(points).half_open)
 
 
 def test_max_prefix_star_matches_oracle_rational():
     for alpha, n in ((Fraction(3, 7), 12), (Fraction(5, 8), 20),
                      (Fraction(1, 2), 5)):
-        ps = max_prefix_star(alpha, n)
+        ps = max_prefix_star(alpha, sos_perm(n, alpha, tie_break=True))
         assert isinstance(ps.value, Fraction)
         best, best_s, final = Fraction(-1), 1, Fraction(0)
         for s in range(1, n + 1):
@@ -179,16 +185,27 @@ def test_max_prefix_star_matches_oracle_rational():
 
 
 def test_max_prefix_star_refuses_huge_denominator():
+    alpha = Fraction(1, 2**61)
     with pytest.raises(SizeRefusedError):
-        max_prefix_star(Fraction(1, 2**61), 2)
+        max_prefix_star(alpha, sos_perm(2, alpha))
     with pytest.raises(QrpermError):
-        max_prefix_star(golden(), 0)
+        sos_perm(0, golden())
+
+
+def test_max_prefix_star_refuses_foreign_beta():
+    beta = sos_perm(12, golden())
+    for alpha in (sqrt_irr(2), -golden(), Fraction(3, 7)):
+        with pytest.raises(QrpermError, match="not the Sos ranking"):
+            max_prefix_star(alpha, beta)
+    for other in (psi(13, 2), random_perm(12, 3)):
+        with pytest.raises(QrpermError, match="not the Sos ranking"):
+            max_prefix_star(golden(), other)
 
 
 def test_max_prefix_star_final_consistency():
-    ps = max_prefix_star(sqrt_irr(2), 30)
+    ps = max_prefix_star(sqrt_irr(2), sos_perm(30, sqrt_irr(2)))
     assert ps.final <= ps.value
-    one = max_prefix_star(golden(), 1)
+    one = max_prefix_star(golden(), sos_perm(1, golden()))
     # single point {alpha} = golden - 1: the worst box ends just below it
     assert one.argmax_s == 1
     assert one.value == pytest.approx(

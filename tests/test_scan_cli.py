@@ -110,6 +110,20 @@ def test_scan_sos_worker_counts_and_schema():
             assert Fraction(r.value_num, r.value_den) == want
 
 
+def test_scan_sos_rejects_bad_points_before_any_work(monkeypatch):
+    import qrperm.scan as scan_mod
+    monkeypatch.setattr(scan_mod, "_sos_point",
+                        lambda point: pytest.fail(f"computed {point}"))
+    with pytest.raises(QrpermError, match="duplicate sos scan point"):
+        scan_sos(["golden"], [4096, 4096])
+    with pytest.raises(QrpermError, match="duplicate sos scan point"):
+        scan_sos(["sqrt:2", "golden", "sqrt:2"], [16])
+    with pytest.raises(QrpermError, match="must be >= 1, got 0"):
+        scan_sos(["golden"], [4096, 0])
+    with pytest.raises(QrpermError, match="must be >= 1, got -5"):
+        scan_sos(["golden"], [-5])
+
+
 def test_scan_gauss_recomputes_from_power_sums():
     records = scan_gauss(13, 13, a_values=(1, 2))
     ks = [k for k in range(2, 12) if math.gcd(k, 12) == 1]
@@ -390,6 +404,24 @@ def test_cli_obryant_stdout(capsys):
     assert "target 7: hit" in out
     assert "target 5: missing" in out
     assert "B(1..12) = 1 2 1 3 1 4 7 3 7 2 7 12" in out
+
+
+def test_cli_obryant_rejects_n_below_one(capsys):
+    for n in ("-3", "0"):
+        assert main(["obryant", "--alpha", "golden", "--limit", "10",
+                     "--n", n]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"error: --n must be >= 1, got {n}")
+
+
+def test_cli_scan_sos_rejects_bad_points(tmp_path, capsys):
+    scan = ["scan-sos", "--alphas", "golden", "--out", str(tmp_path)]
+    err = _assert_cli_error([*scan, "--n-list", "64,64"], capsys)
+    assert "duplicate sos scan point alpha=golden n=64" in err
+    err = _assert_cli_error([*scan, "--n-list", "64,0"], capsys)
+    assert "must be >= 1, got 0" in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_obryant_rejects_short_limit(capsys):
