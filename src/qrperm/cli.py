@@ -107,6 +107,8 @@ def cmd_sums(cfg: RunConfig) -> int:
     kind = cfg.kind
     if kind == "weyl":
         n = _need(cfg.n, "--n")
+        if n < 1:
+            raise QrpermError(f"--n must be >= 1, got {n}")
         alpha = parse_alpha(cfg.alpha)
         pts = [frac_float(alpha, s) for s in range(1, n + 1)]
         print(_sum_json(kind, weyl_sum(pts, _need(cfg.k, "--k"))))
@@ -230,10 +232,11 @@ def cmd_obryant(cfg: RunConfig) -> int:
                      (("alpha", cfg.alpha), ("target", str(t))))]
         print(f"target {t}: {'hit' if r.value_num else 'missing'}")
     if cfg.n is not None:
-        sigma = sos_perm(cfg.limit, parse_alpha(cfg.alpha))
+        # B(k) depends only on {q*alpha} for q <= k: rank the prefix only
         upto = min(cfg.n, cfg.limit)
+        sigma = sos_perm(upto, parse_alpha(cfg.alpha))
         print("B(1..{}) = {}".format(
-            upto, " ".join(str(v) for v in b_sequence(sigma)[:upto])))
+            upto, " ".join(str(v) for v in b_sequence(sigma))))
     return 0
 
 

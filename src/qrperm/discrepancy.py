@@ -177,17 +177,15 @@ def interval_hit(sigma: Permutation, i_int: Interval, j_int: Interval) -> bool:
     return any(j_int.contains(sigma.image[x]) for x in i_int.members())
 
 
+def _ceil_sqrt(x) -> int:
+    """Smallest integer L >= 0 with L*L >= x, exact for int or Fraction."""
+    return math.isqrt(math.ceil(x) - 1) + 1 if x > 0 else 0
+
+
 def min_hitting_length(n: int, d_upper) -> int:
     """Smallest integer L with L^2 > n * d_upper: intervals at least
     this long on both sides force sigma(I) cap J nonempty."""
-    d_upper = Fraction(d_upper)
-    thresh = n * d_upper
-    L = math.isqrt((thresh.numerator // thresh.denominator) + 1)
-    while Fraction(L * L) <= thresh:
-        L += 1
-    while L > 1 and Fraction((L - 1) * (L - 1)) > thresh:
-        L -= 1
-    return L
+    return _ceil_sqrt(math.floor(n * Fraction(d_upper)) + 1)
 
 
 def verify_interval_hits(sigma: Permutation, d_upper):

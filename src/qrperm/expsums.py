@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidGeneratorError, NotAUnitError, QrpermError
-from .families import Permutation
+from .families import Permutation, _params
 from .intervals import Interval
 from .modular import as_prime, mod_inv, multiplicative_order
 
@@ -56,10 +56,6 @@ class SumValue:
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
-
-
-def _params(**kw) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted((k, str(v)) for k, v in kw.items()))
 
 
 def e(x: float) -> complex:

@@ -12,11 +12,15 @@ positions.  Restrictions take the positions of I whose image lands in
 J, ordered by position as plain integers (wrapping intervals enumerate
 their members in integer order too), and compare image values.
 
-Counting costs: length-2 patterns use merge counting (O(n log n),
-capped at n = 10^6); length-3 patterns use the pairwise order matrices
-U, D and one matrix product per relation triple (O(n^2) memory, capped
-at n = 2000).  Exact: all counts fit comfortably inside float64's
-integer range before conversion.
+Counting costs: every pattern count and the 2-subsequence imbalance
+come from one exact int64 kernel, ranksets._earlier_smaller, which
+gives c[j] = #{i < j : v_i < v_j} by bottom-up merge counting
+(O(r log^2 r) time, O(r) memory).  Length-2 counts are sum c; each
+length-3 count is a sum over the middle or last entry of products of
+c, j - c and the rank - c later entries below.  The caps (length 2 at
+n = 10^6, length 3 at n = 2000) no longer reflect this cost, but they
+decide which pattern keys property_profile (and so `stats`) writes;
+lifting them changes that output, so they stay.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from .errors import QrpermError, SizeRefusedError
 from .expsums import _roots, _widest_window
 from .families import Permutation
 from .intervals import Interval
+from .ranksets import _earlier_smaller
 
 PATTERN3_CAP = 2000
 PATTERN2_CAP = 10 ** 6
@@ -48,40 +53,34 @@ def _validate_pattern(tau) -> tuple[int, ...]:
     return tau
 
 
-def _merge_count_inversions(vals: np.ndarray) -> int:
-    """Pairs i < j with vals[i] > vals[j], by merge counting."""
-    if len(vals) <= 1:
-        return 0
-    mid = len(vals) // 2
-    left, right = np.sort(vals[:mid]), vals[mid:]
-    inv = _merge_count_inversions(vals[:mid])
-    inv += _merge_count_inversions(right)
-    pos = np.searchsorted(left, right, side="right")
-    inv += int((len(left) - pos).sum())
-    return inv
-
-
 def _count_seq(values, tau: tuple[int, ...]) -> int:
-    """Occurrences of tau in a sequence of distinct integers."""
+    """Occurrences of tau in a sequence of distinct integers, from the
+    earlier-smaller counts c: each length-3 sum runs over the middle or
+    the last entry of an occurrence."""
     r = len(values)
     m = len(tau)
     if r < m:
         return 0
     if m == 1:
         return r
-    vals = np.asarray(values, dtype=np.int64)
+    c = _earlier_smaller(values)
+    x01 = int(c.sum())
     if m == 2:
-        inv = _merge_count_inversions(vals.copy())
-        total = r * (r - 1) // 2
-        return inv if tau == (1, 0) else total - inv
-    lt = vals[:, None] < vals[None, :]
-    upper = np.triu(np.ones((r, r), dtype=bool), k=1)
-    u_mat = (lt & upper).astype(np.float64)
-    d_mat = (~lt & upper).astype(np.float64)
-    r12 = u_mat if tau[0] < tau[1] else d_mat
-    r23 = u_mat if tau[1] < tau[2] else d_mat
-    r13 = u_mat if tau[0] < tau[2] else d_mat
-    return int(round(((r12 @ r23) * r13).sum()))
+        return x01 if tau == (0, 1) else r * (r - 1) // 2 - x01
+    j = np.arange(r)
+    rank = np.empty(r, dtype=np.int64)
+    rank[np.argsort(values)] = j
+    l_lt, l_gt = c, j - c                   # earlier entries below, above
+    r_lt = rank - c                         # later entries below
+    r_gt = (r - 1 - j) - r_lt               # later entries above
+    x012 = int((l_lt * r_gt).sum())
+    x210 = int((l_gt * r_lt).sum())
+    x102 = int((l_lt * (l_lt - 1) // 2).sum()) - x012
+    x120 = int((l_gt * (l_gt - 1) // 2).sum()) - x210
+    return {(0, 1, 2): x012, (2, 1, 0): x210,
+            (1, 0, 2): x102, (1, 2, 0): x120,
+            (0, 2, 1): int((l_lt * r_lt).sum()) - x120,
+            (2, 0, 1): int((l_gt * r_gt).sum()) - x102}[tau]
 
 
 def pattern_count(sigma: Permutation, tau) -> int:
@@ -127,11 +126,8 @@ def restricted_pattern_count(sigma: Permutation, tau, i_int: Interval,
 def two_subseq_stat(sigma: Permutation, i_int: Interval,
                     j_int: Interval) -> int:
     """Signed imbalance X^(01) - X^(10) on the restriction."""
-    pos = restriction(sigma, i_int, j_int)
-    vals = np.asarray([sigma.image[x] for x in pos], dtype=np.int64)
-    r = len(vals)
-    inv = _merge_count_inversions(vals.copy()) if r else 0
-    return (r * (r - 1) // 2 - inv) - inv
+    vals = [sigma.image[x] for x in restriction(sigma, i_int, j_int)]
+    return _count_seq(vals, (0, 1)) - _count_seq(vals, (1, 0))
 
 
 def separability_stat(sigma: Permutation, i_int: Interval, j_int: Interval,

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrperm import (
@@ -55,6 +55,11 @@ def test_pattern_counts_sum_to_pairs():
 
 
 @given(st.integers(1, 30), st.integers(0, 2**32))
+@example(1, 0)  # merge-kernel block boundaries: 2^k - 1, 2^k, 2^k + 1
+@example(2, 0)
+@example(15, 1)
+@example(16, 2)
+@example(17, 3)
 @settings(max_examples=30, deadline=None)
 def test_pattern_count_matches_brute_force(n, seed):
     sigma = random_perm(n, seed)

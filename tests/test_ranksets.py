@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrperm import (
@@ -58,6 +58,11 @@ def test_b_sequence_frozen_small():
 
 
 @given(st.integers(1, 80), st.integers(0, 2**32))
+@example(1, 0)  # merge-kernel block boundaries: 2^k - 1, 2^k, 2^k + 1
+@example(2, 0)
+@example(63, 1)
+@example(64, 2)
+@example(65, 3)
 @settings(max_examples=60, deadline=None)
 def test_b_sequence_matches_quadratic_oracle(n, seed):
     sigma = random_perm(n, seed)

@@ -14,6 +14,7 @@ from qrperm import (
     d_star,
     from_text,
     gauss_power_sum,
+    golden,
     psi,
     sos_perm,
     sqrt_irr,
@@ -413,6 +414,32 @@ def test_cli_obryant_rejects_n_below_one(capsys):
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err.startswith(f"error: --n must be >= 1, got {n}")
+
+
+def test_cli_obryant_ranks_only_the_printed_prefix(monkeypatch, capsys):
+    import qrperm.cli as cli_mod
+    built = []
+    real = cli_mod.sos_perm
+
+    def recording(n, alpha, **kw):
+        built.append(n)
+        return real(n, alpha, **kw)
+
+    monkeypatch.setattr(cli_mod, "sos_perm", recording)
+    for n, want in (("5", 5), ("40", 30)):
+        assert main(["obryant", "--alpha", "golden", "--limit", "30",
+                     "--n", n]) == 0
+        out = capsys.readouterr().out
+        seq = b_sequence(sos_perm(30, golden()))[:want]
+        assert f"B(1..{want}) = {' '.join(map(str, seq))}" in out
+    assert built == [5, 30]
+
+
+def test_cli_sums_weyl_rejects_n_below_one(capsys):
+    for n in ("0", "-3"):
+        err = _assert_cli_error(["sums", "--kind", "weyl", "--n", n,
+                                 "--alpha", "golden", "--k", "1"], capsys)
+        assert f"--n must be >= 1, got {n}" in err
 
 
 def test_cli_scan_sos_rejects_bad_points(tmp_path, capsys):
