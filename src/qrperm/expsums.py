@@ -25,6 +25,9 @@ window [u, v) sums to P_v - P_u, and _widest_window's max_{u<v}
 |P_v - P_u| serves completion_check and qrstats.eigenvalue_stat.  As
 sigma is a permutation and k != 0 mod n, the full-circle sum P_n is 0,
 so a wrapping window, the complement of [u, v), sums to -(P_v - P_u).
+_walk_maxima gives max_m |P_m| for a block of k at once: it is
+max_incomplete_sum's quantity, and eigenvalue_stat's bound
+max_{u<v} |P_v - P_u| <= 2 max_m |P_m| (as P_0 = 0).
 """
 
 from __future__ import annotations
@@ -89,6 +92,26 @@ def _widest_window(prefix: np.ndarray) -> tuple[float, int, int]:
         if sq[u, v] > best[0]:
             best = (float(sq[u, v]), u0 + u, u0 + v)
     return math.sqrt(best[0]), best[1], best[2]
+
+
+def _walk_maxima(sigma: Permutation,
+                 ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each signed multiplier k in ks, (max over 1 <= m <= n of
+    |P_m|, the first m attaining it) for the prefix walk
+    P_m = sum_{s<m} e(k*sigma(s)/n).  _WINDOW_ROWS multipliers go at a
+    time: one gather from _roots(n), a cumsum along the rows, a row
+    max and argmax of |.|."""
+    n = sigma.n
+    roots = _roots(n)
+    img = np.asarray(sigma.image, dtype=np.int64)
+    mags = np.empty(len(ks))
+    ms = np.empty(len(ks), dtype=np.int64)
+    for i0 in range(0, len(ks), _WINDOW_ROWS):
+        rows = ks[i0:i0 + _WINDOW_ROWS]
+        walk = np.abs(np.cumsum(roots[(rows[:, None] * img) % n], axis=1))
+        mags[i0:i0 + len(rows)] = walk.max(axis=1)
+        ms[i0:i0 + len(rows)] = walk.argmax(axis=1) + 1
+    return mags, ms
 
 
 def _fsum_terms(residues, n: int, terms: int, kernel: str, params) -> SumValue:
@@ -254,14 +277,10 @@ def completion_check(sigma: Permutation, k: int,
 
 def max_incomplete_sum(sigma: Permutation) -> tuple[float, int, int]:
     """max over k != 0 and prefix lengths m of |incomplete_sigma_sum|,
-    returned as (magnitude, k, m)."""
-    n = sigma.n
-    roots = _roots(n)
-    img = np.asarray(sigma.image, dtype=np.int64)
-    best = (0.0, 1, 1)
-    for k in range(1, n):
-        prefix = np.abs(np.cumsum(roots[(k * img) % n]))
-        m = int(np.argmax(prefix))
-        if prefix[m] > best[0]:
-            best = (float(prefix[m]), k, m + 1)
-    return best
+    returned as (magnitude, k, m) at the first k, then the first m,
+    attaining it; (0.0, 1, 1) for n < 2."""
+    if sigma.n < 2:
+        return 0.0, 1, 1
+    mags, ms = _walk_maxima(sigma, np.arange(1, sigma.n))
+    i = int(mags.argmax())
+    return float(mags[i]), i + 1, int(ms[i])

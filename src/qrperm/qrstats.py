@@ -13,14 +13,15 @@ J, ordered by position as plain integers (wrapping intervals enumerate
 their members in integer order too), and compare image values.
 
 Counting costs: every pattern count and the 2-subsequence imbalance
-come from one exact int64 kernel, ranksets._earlier_smaller, which
-gives c[j] = #{i < j : v_i < v_j} by bottom-up merge counting
-(O(r log^2 r) time, O(r) memory).  Length-2 counts are sum c; each
-length-3 count is a sum over the middle or last entry of products of
-c, j - c and the rank - c later entries below.  The caps (length 2 at
-n = 10^6, length 3 at n = 2000) no longer reflect this cost, but they
-decide which pattern keys property_profile (and so `stats`) writes;
-lifting them changes that output, so they stay.
+of a sequence come from one call of an exact int64 kernel,
+ranksets._earlier_smaller, which gives c[j] = #{i < j : v_i < v_j} by
+bottom-up merge counting (O(r log^2 r) time, O(r) memory);
+_pattern_counts derives all of them at once.  Length-2 counts are
+sum c; each length-3 count is a sum over the middle or last entry of
+products of c, j - c and the rank - c later entries below.  The caps
+(length 2 at n = 10^6, length 3 at n = 2000) no longer reflect this
+cost, but they decide which pattern keys property_profile (and so
+`stats`) writes; lifting them changes that output, so they stay.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .discrepancy import D_EXACT_CAP, build_report
 from .errors import QrpermError, SizeRefusedError
-from .expsums import _roots, _widest_window
+from .expsums import _roots, _walk_maxima, _widest_window
 from .families import Permutation
 from .intervals import Interval
 from .ranksets import _earlier_smaller
@@ -42,6 +43,7 @@ from .ranksets import _earlier_smaller
 PATTERN3_CAP = 2000
 PATTERN2_CAP = 10 ** 6
 EIGEN_CAP = 4096
+_UB_SLACK = 1e-9  # relative rounding room on eigenvalue_stat's bound
 
 
 def _validate_pattern(tau) -> tuple[int, ...]:
@@ -53,20 +55,17 @@ def _validate_pattern(tau) -> tuple[int, ...]:
     return tau
 
 
-def _count_seq(values, tau: tuple[int, ...]) -> int:
-    """Occurrences of tau in a sequence of distinct integers, from the
-    earlier-smaller counts c: each length-3 sum runs over the middle or
-    the last entry of an occurrence."""
+def _pattern_counts(values) -> dict[tuple[int, ...], int]:
+    """Occurrences of every pattern of length 1 and 2, and of length 3
+    up to PATTERN3_CAP entries, in a sequence of distinct integers, all
+    from one call of the earlier-smaller kernel: each length-3 sum runs
+    over the middle or the last entry of an occurrence."""
     r = len(values)
-    m = len(tau)
-    if r < m:
-        return 0
-    if m == 1:
-        return r
     c = _earlier_smaller(values)
     x01 = int(c.sum())
-    if m == 2:
-        return x01 if tau == (0, 1) else r * (r - 1) // 2 - x01
+    counts = {(0,): r, (0, 1): x01, (1, 0): r * (r - 1) // 2 - x01}
+    if r > PATTERN3_CAP:
+        return counts
     j = np.arange(r)
     rank = np.empty(r, dtype=np.int64)
     rank[np.argsort(values)] = j
@@ -77,22 +76,30 @@ def _count_seq(values, tau: tuple[int, ...]) -> int:
     x210 = int((l_gt * r_lt).sum())
     x102 = int((l_lt * (l_lt - 1) // 2).sum()) - x012
     x120 = int((l_gt * (l_gt - 1) // 2).sum()) - x210
-    return {(0, 1, 2): x012, (2, 1, 0): x210,
-            (1, 0, 2): x102, (1, 2, 0): x120,
-            (0, 2, 1): int((l_lt * r_lt).sum()) - x120,
-            (2, 0, 1): int((l_gt * r_gt).sum()) - x102}[tau]
+    counts.update({(0, 1, 2): x012,
+                   (0, 2, 1): int((l_lt * r_lt).sum()) - x120,
+                   (1, 0, 2): x102, (1, 2, 0): x120,
+                   (2, 0, 1): int((l_gt * r_gt).sum()) - x102,
+                   (2, 1, 0): x210})
+    return counts
+
+
+def _domain_counts(sigma: Permutation, m: int) -> dict[tuple[int, ...], int]:
+    """_pattern_counts of sigma's full image, refused above the cap for
+    patterns of length m."""
+    if m == 3 and sigma.n > PATTERN3_CAP:
+        raise SizeRefusedError(
+            f"length-3 patterns capped at n = {PATTERN3_CAP}")
+    if m == 2 and sigma.n > PATTERN2_CAP:
+        raise SizeRefusedError(
+            f"length-2 patterns capped at n = {PATTERN2_CAP}")
+    return _pattern_counts(sigma.image)
 
 
 def pattern_count(sigma: Permutation, tau) -> int:
     """X^tau(sigma): occurrences of the pattern on the full domain."""
     tau = _validate_pattern(tau)
-    if len(tau) == 3 and sigma.n > PATTERN3_CAP:
-        raise SizeRefusedError(
-            f"length-3 patterns capped at n = {PATTERN3_CAP}")
-    if len(tau) == 2 and sigma.n > PATTERN2_CAP:
-        raise SizeRefusedError(
-            f"length-2 patterns capped at n = {PATTERN2_CAP}")
-    return _count_seq(sigma.image, tau)
+    return _domain_counts(sigma, len(tau))[tau]
 
 
 @dataclass(frozen=True)
@@ -120,14 +127,15 @@ def restricted_pattern_count(sigma: Permutation, tau, i_int: Interval,
         raise SizeRefusedError(
             f"length-3 patterns capped at size {PATTERN3_CAP}")
     values = [sigma.image[x] for x in pos]
-    return RestrictedCount(_count_seq(values, tau), len(pos))
+    return RestrictedCount(_pattern_counts(values)[tau], len(pos))
 
 
 def two_subseq_stat(sigma: Permutation, i_int: Interval,
                     j_int: Interval) -> int:
     """Signed imbalance X^(01) - X^(10) on the restriction."""
-    vals = [sigma.image[x] for x in restriction(sigma, i_int, j_int)]
-    return _count_seq(vals, (0, 1)) - _count_seq(vals, (1, 0))
+    counts = _pattern_counts([sigma.image[x]
+                              for x in restriction(sigma, i_int, j_int)])
+    return counts[(0, 1)] - counts[(1, 0)]
 
 
 def separability_stat(sigma: Permutation, i_int: Interval, j_int: Interval,
@@ -170,6 +178,13 @@ def eigenvalue_stat(sigma: Permutation, alpha: float,
     won by I = [u, v).  Wrapping intervals need no scan: the full-circle
     sum P_n is 0 (sigma is a permutation, k != 0 mod n), so each has the
     magnitude of its non-wrapping complement.
+
+    As P_0 = 0, the widest window lies between M_k = max_m |P_m| and
+    2*M_k (triangle inequality), so ub_k = 2*M_k / k^alpha bounds the
+    value for k.  The exact scans run in decreasing order of ub_k and
+    stop at the first k whose ub_k, with a relative slack of _UB_SLACK
+    for rounding, is below the best value found; every later k is
+    bounded below it too.  Among equal values the smallest k wins.
     """
     _check_alpha(alpha)
     n = sigma.n
@@ -179,31 +194,42 @@ def eigenvalue_stat(sigma: Permutation, alpha: float,
         raise QrpermError("n must be >= 2")
     roots = _roots(n)
     img = np.asarray(sigma.image, dtype=np.int64)
+    ks = np.arange(1, n // 2 + 1)
+    walk_max, _ = _walk_maxima(sigma, -ks)
+    with np.errstate(over="ignore"):  # k^alpha = inf gives ub_k = 0
+        ub = 2.0 * walk_max / ks ** alpha
     best = None
-    for k in range(1, n // 2 + 1):
+    for i in np.argsort(-ub, kind="stable").tolist():
+        if best is not None and ub[i] * (1.0 + _UB_SLACK) < best.value:
+            break
+        k = i + 1
         prefix = np.concatenate(([0j], np.cumsum(roots[(-k * img) % n])))
         mag, u, v = _widest_window(prefix)
         value = mag / float(k) ** alpha
-        if best is None or value > best.value:
+        # among equal values the least k wins, as in a scan by increasing k
+        if best is None or (value, -k) > (best.value, -best.k):
             best = EigenvalueStat(value, alpha, k, Interval(n, u, v - u), mag)
     return best
 
 
 def translation_stat(sigma: Permutation, i_int: Interval,
                      j_int: Interval) -> Fraction:
-    """sum over shifts k of (|sigma(I) cap (J + k)| - |I||J|/n)^2, exact."""
+    """sum over shifts k of (|sigma(I) cap (J + k)| - |I||J|/n)^2, exact.
+
+    J + k is the cyclic interval of length L from (j0 + k) mod n, so
+    c_k = cum[s + L] - cum[s] on the cumulative count cum of sigma(I)
+    taken twice around the circle."""
     n = sigma.n
     if i_int.n != n or j_int.n != n:
         raise QrpermError("interval modulus mismatch")
+    img = np.asarray(sigma.image, dtype=np.int64)
     s_ind = np.zeros(n, dtype=np.int64)
-    for x in i_int.members():
-        s_ind[sigma.image[x]] = 1
-    j_ind = j_int.indicator()
+    s_ind[img[i_int.indicator() == 1]] = 1
+    cum = np.concatenate(([0], np.cumsum(np.tile(s_ind, 2))))
+    starts = (j_int.start + np.arange(n)) % n
+    c = cum[starts + j_int.length] - cum[starts]
     ab = i_int.length * j_int.length
-    total = 0
-    for k in range(n):
-        c = int(s_ind @ np.roll(j_ind, k))
-        total += (n * c - ab) ** 2
+    total = sum(d * d for d in (n * c - ab).tolist())
     return Fraction(total, n * n)
 
 
@@ -259,16 +285,13 @@ def property_profile(sigma: Permutation, alpha: float = 0.5,
     ub = build_report(sigma, exact_cap).d_upper
     sp = max(separability_stat(sigma, a, b, full, full)
              for a in (first, second) for b in (first, second))
-    patterns = [(0, 1), (1, 0)]
-    if n <= PATTERN3_CAP:
-        patterns += [(0, 1, 2), (0, 2, 1), (1, 0, 2),
-                     (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    counts = tuple((tau, pattern_count(sigma, tau)) for tau in patterns)
+    counts = _domain_counts(sigma, 2)   # length 3 only up to PATTERN3_CAP
     eig = eigenvalue_stat(sigma, alpha) if n <= EIGEN_CAP else None
     return PropertyProfile(
         n=n, family=sigma.family, params=sigma.params, ub=ub,
-        two_s=two_subseq_stat(sigma, full, full),
+        two_s=counts[(0, 1)] - counts[(1, 0)],
         sp_max=sp, e_alpha=alpha,
         e_alpha_max=eig.value if eig else None,
         t_sum=translation_stat(sigma, first, first),
-        pattern_counts=counts)
+        pattern_counts=tuple((tau, c) for tau, c in counts.items()
+                             if len(tau) > 1))

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -313,6 +314,28 @@ def test_max_incomplete_sum_is_attained():
         for probe_m in (1, 10, 31):
             assert incomplete_sigma_sum(sigma, probe_k,
                                         probe_m).magnitude <= mag + 1e-9
+
+
+def _max_incomplete_loop(sigma):
+    """One walk per k, strict > in increasing k: the first k, then the
+    first m, attaining the maximum."""
+    n = sigma.n
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    img = np.asarray(sigma.image, dtype=np.int64)
+    best = (0.0, 1, 1)
+    for k in range(1, n):
+        prefix = np.abs(np.cumsum(roots[(k * img) % n]))
+        m = int(np.argmax(prefix))
+        if prefix[m] > best[0]:
+            best = (float(prefix[m]), k, m + 1)
+    return best
+
+
+def test_max_incomplete_sum_matches_full_loop(mid_corpus):
+    extra = [identity_perm(1), identity_perm(2), random_perm(3, 1),
+             random_perm(64, 5)]
+    for sigma in mid_corpus + extra:
+        assert max_incomplete_sum(sigma) == _max_incomplete_loop(sigma)
 
 
 @given(st.integers(2, 32), st.integers(0, 2**32), st.data())

@@ -3,16 +3,20 @@
 import cmath
 import json
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrperm import (
+    EigenvalueStat,
     Interval,
     QrpermError,
     SizeRefusedError,
+    bit_reversal,
     compose,
     d_star,
     eigenvalue_stat,
@@ -29,6 +33,7 @@ from qrperm import (
     two_subseq_stat,
 )
 from qrperm import qrstats
+from qrperm.expsums import _widest_window
 from qrperm.families import Permutation
 
 from conftest import ncr2, oracle_pattern
@@ -244,6 +249,77 @@ def test_eigenvalue_stat_small_exhaustive():
         stat = eigenvalue_stat(sigma, 0.5)
         assert stat.value == pytest.approx(_exhaustive_eigen(sigma, 0.5),
                                            abs=1e-9)
+
+
+def _widest_per_k(sigma):
+    """[(k, (mag, u, v))] from a widest-window scan of every k."""
+    n = sigma.n
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    img = np.asarray(sigma.image, dtype=np.int64)
+    return [(k, _widest_window(np.concatenate(
+                ([0j], np.cumsum(roots[(-k * img) % n])))))
+            for k in range(1, n // 2 + 1)]
+
+
+def _full_scan_eigen(sigma, alphas):
+    """eigenvalue_stat for each alpha from every k, strict > in
+    increasing k."""
+    windows = _widest_per_k(sigma)
+    out = []
+    for alpha in alphas:
+        best = None
+        for k, (mag, u, v) in windows:
+            value = mag / float(k) ** alpha
+            if best is None or value > best.value:
+                best = EigenvalueStat(value, alpha, k,
+                                      Interval(sigma.n, u, v - u), mag)
+        out.append(best)
+    return out
+
+
+def test_eigenvalue_stat_pruning_matches_full_scan():
+    # alpha = 0.01 prunes almost no k; alpha = 3 prunes nearly every k > 1
+    alphas = (0.01, 0.5, 1.0, 3.0)
+    perms = [bit_reversal(2), bit_reversal(64), psi(3, 2), psi(64, 7),
+             psi(65, 7), psi(257, 7)]
+    for n in (2, 3, 64, 65, 257):
+        perms += [identity_perm(n), reversal_perm(n), random_perm(n, n)]
+    for sigma in perms:
+        expected = _full_scan_eigen(sigma, alphas)
+        for alpha, want in zip(alphas, expected):
+            assert eigenvalue_stat(sigma, alpha) == want, (sigma.family,
+                                                           sigma.n, alpha)
+
+
+def test_eigenvalue_stat_bound_rounded_below_a_tie(monkeypatch):
+    # bit_reversal(32) at alpha = 1/2: k = 8 and k = 16 both give 4.0,
+    # and k = 16's bound is the larger, so it is scanned first.  Set
+    # k = 8's walk maximum to half its widest window, the least the
+    # triangle inequality allows, less 1e-12 of rounding: the scan must
+    # still reach k = 8 and give it the tie.
+    sigma = bit_reversal(32)
+    widest8 = dict(_widest_per_k(sigma))[8][0]
+    walk_maxima = qrstats._walk_maxima
+
+    def rounded_low(sig, ks):
+        mags, ms = walk_maxima(sig, ks)
+        return np.where(np.abs(ks) == 8, widest8 / 2 * (1 - 1e-12), mags), ms
+
+    monkeypatch.setattr(qrstats, "_walk_maxima", rounded_low)
+    stat = eigenvalue_stat(sigma, 0.5)
+    assert (stat.k, stat.value) == (8, 4.0)
+    assert stat == _full_scan_eigen(sigma, (0.5,))[0]
+
+
+def test_eigenvalue_stat_huge_alpha_keeps_k_one():
+    # k^alpha overflows for every k >= 2: those k are bounded by 0, and
+    # neither an OverflowError nor a numpy overflow warning escapes
+    sigma = psi(31, 3)
+    _, (mag, u, v) = _widest_per_k(sigma)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stat = eigenvalue_stat(sigma, 5000.0)
+    assert stat == EigenvalueStat(mag, 5000.0, 1, Interval(31, u, v - u), mag)
 
 
 def test_eigenvalue_stat_attained_and_dominates_probes():
