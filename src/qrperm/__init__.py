@@ -36,8 +36,8 @@ from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       floor_surd, frac_compare, frac_float, golden,
                       is_square_free, parse_alpha, sign_of_surd, sqrt_irr)
 from .ranksets import (ASet, GapCheck, PrefixStar, a_set, b_of_k,
-                       b_sequence, gap_check, max_prefix_star,
-                       prefix_star_nums)
+                       b_sequence, discrelation_holds, gap_check,
+                       max_prefix_star, prefix_star_nums)
 
 __version__ = "0.1.0"
 

@@ -25,7 +25,9 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     the recurrence
                         F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b,
                     so the Python loop runs span - 1 times over whole-row
-                    vector operations (|F| + n < 2^31 keeps int32 safe).
+                    vector operations.  The sweep only needs
+                    |F| + n < 2^31, that is n <= 92679, so above 46340
+                    the first rows are built in int64 and cast to int32.
                     O(n^2) time, O(n) memory.
     d_exact(sigma)  max over all cyclic interval pairs.  For I = [i,j)
                     and J = [c,d) the signed deviation is
@@ -85,6 +87,14 @@ def _deviation_rows(sigma: Permutation, starts) -> np.ndarray:
     return f
 
 
+def _run_starts(n: int) -> tuple[int, np.ndarray]:
+    """Cut rows 0..n-1 into _SEGMENTS runs of span = ceil(n / _SEGMENTS)
+    rows: (span, first row of each run).  The last run starts at
+    n - span and may overlap the one before it."""
+    span = -(-n // _SEGMENTS)
+    return span, np.minimum(np.arange(0, n, span), n - span)
+
+
 def d_star(sigma: Permutation) -> Fraction:
     """Initial-interval discrepancy max |F|, exact.
 
@@ -95,11 +105,14 @@ def d_star(sigma: Permutation) -> Fraction:
     by F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b, so the Python loop runs
     span - 1 times over whole-row vector operations.  The row
     b -> n*[b > v] is the window at n - v of one array of length 2n + 1.
+    The sweep is int32 while |F| + n <= n^2/4 + n < 2^31 (n <= 92679),
+    also where the closed-form rows need int64.
     """
     n = sigma.n
-    span = -(-n // _SEGMENTS)
-    starts = np.minimum(np.arange(0, n, span), n - span)
+    span, starts = _run_starts(n)
     f = _deviation_rows(sigma, starts)
+    if f.dtype != np.int32 and n * n // 4 + n < 2**31:
+        f = f.astype(np.int32)  # the sweep needs only |F| + n < 2^31
     b_row = np.arange(n + 1, dtype=f.dtype)
     steps = np.zeros(2 * n + 1, dtype=f.dtype)
     steps[n + 1:] = n

@@ -17,19 +17,35 @@ The gap machinery: max_gap is the largest spacing between consecutive
 elements of A (with sentinels 0 and n+1), so "every interval of length L
 inside [1, n] meets A" is exactly max_gap <= L.  gap_check verifies that
 with L = ceil(sqrt(32*n*D)) for a supplied discrepancy upper bound D.
+
+Prefix star discrepancy: prefix_star_nums gives the star discrepancy of
+every prefix of a point sequence in one sweep over the rank-indexed
+count matrix G(s, b) = #{q < s : rank_q < b}.  Its rows step together
+in d_star's runs and its columns go in blocks of _PREFIX_BLOCK, so it
+costs O(n^2) time and O(n) + O(block) memory, and gives the bits of a
+per-prefix loop.  max_prefix_star runs it over the Kronecker sequence
+{s*alpha}, and discrelation_holds decides D*(beta_alpha) <= 2 * that
+maximum exactly: with Fractions for rational alpha, in surd arithmetic
+at the winning box for irrational alpha.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .discrepancy import _ceil_sqrt
+from .discrepancy import _ceil_sqrt, _run_starts
 from .errors import QrpermError, SizeRefusedError
 from .families import Permutation
-from .quadirr import QuadraticIrrational, alpha_label, frac_compare, frac_float
+from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
+                      frac_compare, frac_float, sign_of_surd)
+
+_PREFIX_BLOCK = 1024  # columns per block of the prefix-star sweep
 
 
 def b_of_k(alpha, k: int) -> int:
@@ -121,10 +137,39 @@ def gap_check(sigma: Permutation, d_upper) -> GapCheck:
 @dataclass(frozen=True)
 class PrefixStar:
     """max over s <= n of the star discrepancy (count scale) of the
-    first s points {alpha}, {2 alpha}, ..., {s alpha}."""
+    first s points {alpha}, {2 alpha}, ..., {s alpha}.  box = (q, count)
+    is a box that attains it: its edge is {q alpha}, and it holds count
+    of the first argmax_s points."""
     value: Fraction | float
     argmax_s: int
     final: Fraction | float   # the s = n value
+    box: tuple[int, int]
+
+
+def _prefix_points(alpha, n: int) -> tuple[list, int]:
+    """The points {s*alpha}, s = 1..n, as (r, den): exact residues over
+    the denominator for rational alpha, frac_float keys with den = 1
+    for irrational alpha."""
+    if isinstance(alpha, QuadraticIrrational):
+        return [frac_float(alpha, s) for s in range(1, n + 1)], 1
+    alpha = Fraction(alpha)
+    den = alpha.denominator
+    return [alpha.numerator * s % den for s in range(1, n + 1)], den
+
+
+def _row_boxes(ranks, r, den: int, s: int):
+    """The 2s boxes of entry s - 1 of prefix_star_nums, closed ones
+    first: their values (computed as the sweep computes them), edge
+    points q (1-based) and counts of the first s points inside.  One
+    O(n) pass."""
+    g = np.asarray(ranks[:s], dtype=np.int64)
+    seen = np.zeros(len(ranks) + 1, dtype=np.int64)
+    seen[g + 1] = 1
+    cnt = np.cumsum(seen)[g + 1]  # #{p < s : rank_p <= rank_q}
+    lin = s * np.asarray(r[:s])
+    vals = np.concatenate((den * cnt - lin, lin - den * (cnt - 1)))
+    qs = np.tile(np.arange(1, s + 1), 2)
+    return vals, qs, np.concatenate((cnt, cnt - 1))
 
 
 def max_prefix_star(alpha, beta: Permutation) -> PrefixStar:
@@ -139,39 +184,144 @@ def max_prefix_star(alpha, beta: Permutation) -> PrefixStar:
     label = alpha_label(alpha)
     if beta.family != "sos" or beta.param_dict().get("alpha") != label:
         raise QrpermError(f"beta is not the Sos ranking of alpha={label}")
-    if isinstance(alpha, QuadraticIrrational):
-        den, r = 1, [frac_float(alpha, s) for s in range(1, beta.n + 1)]
-    else:
-        alpha = Fraction(alpha)
-        den = alpha.denominator
-        r = [alpha.numerator * s % den for s in range(1, beta.n + 1)]
+    r, den = _prefix_points(alpha, beta.n)
     nums = prefix_star_nums(beta.image, r, den)
     best_s = int(np.argmax(nums)) + 1  # first maximum, smallest s
     value, final = nums[best_s - 1].item(), nums[-1].item()
-    if isinstance(alpha, Fraction):
+    if not isinstance(alpha, QuadraticIrrational):
         value, final = Fraction(value, den), Fraction(final, den)
-    return PrefixStar(value, best_s, final)
+    vals, qs, counts = _row_boxes(beta.image, r, den, best_s)
+    i = int(np.argmax(vals))
+    return PrefixStar(value, best_s, final, (int(qs[i]), int(counts[i])))
+
+
+def _box_reaches(alpha: QuadraticIrrational, s: int, q: int, count: int,
+                 ds: Fraction) -> bool:
+    """2*|count - s*{q*alpha}| >= ds, decided in surd arithmetic."""
+    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
+    m = floor_multiple(alpha, q)
+    # count - s*{q alpha} = (A + B sqrt(d)) / c, with c > 0
+    big_a = count * c - s * (q * a - m * c)
+    big_b = -s * q * b
+    x, y, t = 2 * ds.denominator * big_a, 2 * ds.denominator * big_b, \
+        ds.numerator * c
+    return sign_of_surd(x - t, y, d) >= 0 or sign_of_surd(x + t, y, d) <= 0
+
+
+def discrelation_holds(alpha, beta: Permutation, ds: Fraction,
+                       prefix: PrefixStar) -> bool:
+    """ds <= 2 * (the exact max prefix star discrepancy), decided exactly.
+
+    prefix is max_prefix_star(alpha, beta).  Rational alpha compares
+    Fractions.  For irrational alpha, prefix.box is decided in surd
+    arithmetic.  Every float box value is within tol of its exact value
+    (frac_float's error, times s, plus rounding); so if that box fails,
+    only boxes within tol of ds/2 can pass, and when prefix.value itself
+    is that close the sweep is rerun to decide each of them exactly.
+    """
+    if not isinstance(alpha, QuadraticIrrational):
+        return ds <= 2 * prefix.value
+    if _box_reaches(alpha, prefix.argmax_s, *prefix.box, ds):
+        return True
+    n = beta.n
+    tol = 16 * n * sys.float_info.epsilon * (
+        abs(alpha.b) * n * math.sqrt(alpha.d) / alpha.c + 1)
+    low = float(ds) / 2 - tol
+    if prefix.value < low:
+        return False
+    r, den = _prefix_points(alpha, n)
+    nums = prefix_star_nums(beta.image, r, den)
+    for s in np.flatnonzero(nums >= low) + 1:
+        vals, qs, counts = _row_boxes(beta.image, r, den, int(s))
+        for i in np.flatnonzero(vals >= low):
+            if _box_reaches(alpha, int(s), int(qs[i]), int(counts[i]), ds):
+                return True
+    return False
 
 
 def prefix_star_nums(ranks, r, den: int) -> np.ndarray:
     """Star discrepancy (count scale) of every prefix of the points
-    r[q] / den, times den; entry s - 1 covers the first s points.
-    ranks orders the points as r does, ties broken either way, so one
-    counter cnt(t) = #{q <= s : rank_q <= rank_t} runs over tied points
-    from the open count + 1 to the closed one and serves both box
-    conventions.  Exact for integer r; float r (den = 1) rounds
-    monotonically, so it matches separate counters bit for bit."""
+    r[q] / den, r[q] in [0, den), times den; entry s - 1 covers the
+    first s points.  ranks orders the points as r does, ties broken
+    either way.
+
+    Indexed by rank: y[b] is the r of the point of rank b and
+    G(s, b) = #{q < s : rank_q < b}.  Entry s - 1 is the max over b of
+    den*G(s, b+1) - s*y[b] (the closed box at y[b]) and
+    s*y[b] - den*G(s, b) (the open one).  A column whose point is not
+    among the first s never sets the max: its closed box is dominated by
+    the nearest prefix point below it and its open box by the nearest
+    one above, and without such a point its value is <= 0.  So one
+    counter serves both conventions and tied points.
+
+    Rows are cut into runs by d_star's _run_starts; each run's first row
+    is one cumsum, and the runs step together by
+    den*G += den*[b > rank(s)].  Columns go in blocks of _PREFIX_BLOCK,
+    each carrying its runs' counts at its left edge into the next, so
+    memory is O(n) plus O(_SEGMENTS * _PREFIX_BLOCK).  s*y is computed
+    afresh on every row, and fl(s*y) is monotone in y, so float r
+    (den = 1) gives the bits of a per-prefix loop.
+    """
     n = len(r)
     if den * (n + 1) >= 2**62:
         raise SizeRefusedError("denominator too large for the exact "
                                "integer sweep")
     g = np.asarray(ranks, dtype=np.int64)
     r = np.asarray(r)
-    cnt = np.zeros(n, dtype=np.int64)
     out = np.empty(n, dtype=r.dtype)
-    for s in range(1, n + 1):
-        cnt += g >= g[s - 1]
-        lin = s * r[:s]
-        out[s - 1] = max((den * cnt[:s] - lin).max(),
-                         (lin - den * (cnt[:s] - 1)).max())
+    if n == 0:
+        return out
+    # val is the dtype a per-prefix loop gives den*G - s*y.  den*G is
+    # held in it where exact, so no step mixes dtypes; integer sweeps
+    # narrow to int32 where |den*G - s*y| < den*(n + 1) fits.
+    val = np.result_type(np.int64, r.dtype)
+    if val.kind == "f":
+        pdt, cnt = r.dtype, (val if den * (n + 1) < 2**53 else np.int64)
+    else:
+        pdt = cnt = val = np.int32 if den * (n + 1) < 2**31 else val
+    inv = np.empty(n, dtype=np.int64)
+    inv[g] = np.arange(n)
+    y = r[inv].astype(pdt)
+    span, starts = _run_starts(n)
+    rows = starts + np.arange(span)[:, None]  # row a holds a + 1 points
+    runs, width = len(starts), min(_PREFIX_BLOCK, n)
+    a_col = starts[:, None]
+    s_col = (a_col + 1).astype(pdt)
+    # den*[b > v] on columns c0..c0+width is the window at n - v + c0
+    steps = np.zeros(2 * n + width + 1, dtype=cnt)
+    steps[n + 1:] = den
+    step_rows = sliding_window_view(steps, width + 1)
+    at = n - g[rows]
+    left = np.zeros((runs, 1), dtype=cnt)  # den*G at the block's left edge
+    closed = np.empty((span, runs), dtype=val)
+    opened = np.empty((span, runs), dtype=val)
+    hbuf = np.empty(runs * (width + 1), dtype=cnt)
+    pbuf = np.empty_like(hbuf, dtype=val)
+    ubuf = np.empty_like(hbuf, dtype=val)
+    best = None
+    for c0 in range(0, n, width):
+        w = min(width, n - c0)
+        # contiguous (runs, w + 1) blocks, also read flat: column w of p
+        # is padding, so closed boxes read den*G one cell to the right
+        k = runs * (w + 1)
+        hf, pf, uf = hbuf[:k], pbuf[:k], ubuf[:k]
+        h, p, u = (f.reshape(runs, w + 1) for f in (hf, pf, uf))
+        h[:, :1] = left  # h = den*G(s, c0..c0+w)
+        np.cumsum(inv[c0:c0 + w] <= a_col, axis=1, out=h[:, 1:])
+        h[:, 1:] *= den
+        h[:, 1:] += left
+        left = h[:, -1:].copy()
+        yb = np.zeros(w + 1, dtype=pdt)
+        yb[:w] = y[c0:c0 + w]
+        for t in range(span):
+            if t:
+                h += step_rows[at[t] + c0, :w + 1]
+            np.multiply(s_col + t, yb, out=p)
+            np.subtract(hf[1:], pf[:-1], out=uf[:-1])  # closed boxes
+            np.subtract(pf, hf, out=pf)                # open boxes
+            u[:, :w].max(axis=1, out=closed[t])
+            p[:, :w].max(axis=1, out=opened[t])
+        blk = np.maximum(closed, opened)
+        best = blk if best is None else np.maximum(best, blk, out=best)
+    out[rows] = best
     return out

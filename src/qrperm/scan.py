@@ -34,7 +34,7 @@ from .expsums import _roots
 from .families import psi, sos_perm
 from .modular import is_prime
 from .quadirr import QuadraticIrrational, parse_alpha
-from .ranksets import a_set, gap_check, max_prefix_star
+from .ranksets import a_set, discrelation_holds, gap_check, max_prefix_star
 
 CSV_COLUMNS = ("family", "n_or_p", "params", "statistic",
                "value_num", "value_den_or_float", "normalized",
@@ -226,7 +226,7 @@ def _sos_point(args: tuple[str, int]) -> list[ScanRecord]:
         rec_f("sos-scan", n, pm, "argmax_prefix", float(prefix.argmax_s),
               prefix.argmax_s / n),
         rec_q("sos-scan", n, pm, "discrelation_ok",
-              int(float(ds) <= 2.0 * float(prefix.value) + 1e-9)),
+              int(discrelation_holds(alpha, sigma, ds, prefix))),
         rec_f("sos-scan", n, pm, "discrelation_ratio",
               float(ds) / (2.0 * float(prefix.value))),
     ]

@@ -32,6 +32,7 @@ from qrperm import (
     sqrt_irr,
     verify_interval_hits,
 )
+from qrperm import discrepancy
 from qrperm.discrepancy import _deviation_rows
 from qrperm.families import Permutation
 
@@ -135,6 +136,24 @@ def test_deviation_rows_dtype_boundary():
     # n^2 < 2^31 exactly up to n = 46340
     for n, dtype in ((46340, np.int32), (46341, np.int64)):
         assert _deviation_rows(identity_perm(n), np.arange(1)).dtype == dtype
+
+
+def test_d_star_int32_sweep_past_the_row_boundary(monkeypatch):
+    # the first n with int64 closed-form rows; d_star casts them to an
+    # int32 sweep, whose |F| + n stays below 2^31.  Identity's F(a, a)
+    # peaks at (n^2 - 1)/4 near a = n/2, where n*count > 2^31 already.
+    # The spy sees the dtype of the step rows, which is the sweep's.
+    seen = []
+    window = discrepancy.sliding_window_view
+
+    def spy(steps, width):
+        seen.append(steps.dtype)
+        return window(steps, width)
+
+    monkeypatch.setattr(discrepancy, "sliding_window_view", spy)
+    n = 46341
+    assert d_star(identity_perm(n)) == Fraction(n * n - 1, 4 * n)
+    assert seen == [np.int32]
 
 
 # ------------------------------------------------------------- real star

@@ -1,18 +1,24 @@
 """Partial-rank sequences, hit sets, gap checks, prefix star discrepancy."""
 
+import dataclasses
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrperm import (
     QrpermError,
+    QuadraticIrrational,
     SizeRefusedError,
     a_set,
     b_of_k,
     b_sequence,
     d_exact,
+    d_star,
+    discrelation_holds,
     frac_float,
     gap_check,
     golden,
@@ -26,6 +32,7 @@ from qrperm import (
     sos_perm,
     sqrt_irr,
 )
+from qrperm import ranksets
 
 
 def _oracle_b(sigma, k: int) -> int:
@@ -216,3 +223,166 @@ def test_max_prefix_star_final_consistency():
     assert one.value == pytest.approx(
         max(abs(1 - frac_float(golden(), 1)), frac_float(golden(), 1)),
         abs=1e-12)
+
+
+# ------------------------------------------- prefix star: the rank sweep
+
+def _triangle_prefix_star_nums(ranks, r, den):
+    """The per-prefix loop that the rank sweep replaced: one counter
+    cnt(t) = #{q <= s : rank_q <= rank_t} over the first s points."""
+    n = len(r)
+    g = np.asarray(ranks, dtype=np.int64)
+    r = np.asarray(r)
+    cnt = np.zeros(n, dtype=np.int64)
+    out = np.empty(n, dtype=r.dtype)
+    for s in range(1, n + 1):
+        cnt += g >= g[s - 1]
+        lin = s * r[:s]
+        out[s - 1] = max((den * cnt[:s] - lin).max(),
+                         (lin - den * (cnt[:s] - 1)).max())
+    return out
+
+
+def _ranks_with_ties(r, rng):
+    """A ranking of r that breaks ties in a random order."""
+    order = np.lexsort((rng.random(len(r)), r))
+    ranks = np.empty(len(r), dtype=np.int64)
+    ranks[order] = np.arange(len(r))
+    return ranks
+
+
+def _assert_same_as_triangle(ranks, r, den):
+    want = _triangle_prefix_star_nums(ranks, r, den)
+    got = prefix_star_nums(ranks, r, den)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_prefix_star_nums_matches_triangle_on_random_keys(monkeypatch):
+    rng = np.random.default_rng(20031)
+    for block in (1, 3, 1024):
+        monkeypatch.setattr(ranksets, "_PREFIX_BLOCK", block)
+        for case in range(120):
+            n = int(rng.integers(1, 91))
+            if case % 2:   # floats on a coarse grid, so with ties
+                r = np.floor(rng.random(n) * rng.integers(2, 40)) / 40
+                den = 1
+            else:
+                den = (7, 97, 10**6)[case // 2 % 3]
+                r = rng.integers(0, den, n)
+            _assert_same_as_triangle(_ranks_with_ties(r, rng), r, den)
+
+
+def test_prefix_star_nums_matches_triangle_at_run_and_block_edges():
+    rng = np.random.default_rng(7)
+    for n in (1, 31, 33, 1023, 1025, 2049):
+        r = rng.random(n)
+        _assert_same_as_triangle(_ranks_with_ties(r, rng), r, 1)
+        r = rng.integers(0, 97, n)
+        _assert_same_as_triangle(_ranks_with_ties(r, rng), r, 97)
+
+
+def test_prefix_star_nums_matches_triangle_on_wide_values():
+    # den*(n + 1) past 2^31 (no int32 sweep) and, for floats, past 2^53
+    rng = np.random.default_rng(11)
+    for n in (1, 40, 77):
+        r = rng.integers(0, 2**40, n)
+        _assert_same_as_triangle(_ranks_with_ties(r, rng), r, 2**40)
+        r = np.floor(rng.random(n) * 8) * 2**47
+        _assert_same_as_triangle(_ranks_with_ties(r, rng), r, 2**50)
+        r = (np.floor(rng.random(n) * 8) / 8).astype(np.float32)
+        _assert_same_as_triangle(_ranks_with_ties(r, rng), r, 1)
+
+
+def test_prefix_star_nums_matches_triangle_on_permutation_images():
+    # scripts/calibrate.py calls it as (img, img, n)
+    for sigma in (random_perm(300, 5), psi(101, 3), identity_perm(64),
+                  reversal_perm(65)):
+        img = np.asarray(sigma.image, dtype=np.int64)
+        _assert_same_as_triangle(img, img, sigma.n)
+
+
+def test_max_prefix_star_box_attains_value():
+    for alpha, n in ((golden(), 200), (sqrt_irr(3), 97),
+                     (Fraction(3, 7), 30), (Fraction(5, 8), 20)):
+        ps = max_prefix_star(alpha, sos_perm(n, alpha, tie_break=True))
+        q, count = ps.box
+        s = ps.argmax_s
+        assert 1 <= q <= s and 0 <= count <= s
+        inside = sum(1 for p in range(1, s + 1)
+                     if ranksets.frac_compare(alpha, p, q) < 0)
+        assert count in (inside, inside + sum(
+            1 for p in range(1, s + 1)
+            if ranksets.frac_compare(alpha, p, q) == 0))
+        if isinstance(alpha, Fraction):
+            x = Fraction(alpha.numerator * q % alpha.denominator,
+                         alpha.denominator)
+            assert abs(count - s * x) == ps.value
+        else:
+            assert abs(count - s * frac_float(alpha, q)) == pytest.approx(
+                ps.value, abs=1e-9)
+
+
+# -------------------------------------------- discrelation, decided exactly
+
+def _frac_decimal(alpha, q):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        x = (alpha.a + alpha.b * Decimal(alpha.d).sqrt()) * q / alpha.c
+        return x - x.to_integral_value(rounding="ROUND_FLOOR")
+
+
+def _oracle_discrelation(alpha, beta, ds):
+    """ds <= 2 * max over prefixes s and boxes of |count - s*{q alpha}|,
+    at 60 significant digits over every closed and open box."""
+    n = beta.n
+    fracs = [_frac_decimal(alpha, q) for q in range(1, n + 1)]
+    target = Decimal(ds.numerator) / Decimal(ds.denominator)
+    for s in range(1, n + 1):
+        head = beta.image[:s]
+        for q in range(1, s + 1):
+            closed = sum(1 for v in head if v <= beta.image[q - 1])
+            for count in (closed, closed - 1):
+                if 2 * abs(count - s * fracs[q - 1]) >= target:
+                    return True
+    return False
+
+
+def test_discrelation_holds_matches_oracle_near_ties(monkeypatch):
+    calls = []
+    sweep = ranksets.prefix_star_nums
+
+    def counted(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(ranksets, "prefix_star_nums", counted)
+    for alpha in (golden(), sqrt_irr(2), -golden(),
+                  QuadraticIrrational(3, 1000, 7, 11)):
+        for n in (1, 2, 17, 40):
+            beta = sos_perm(n, alpha)
+            ps = max_prefix_star(alpha, beta)
+            # the same value with the other box at the same edge, which
+            # does not attain it: the decision may not rest on the box
+            q, count = ps.box
+            s = ps.argmax_s
+            closed = sum(1 for v in beta.image[:s] if v <= beta.image[q - 1])
+            other = dataclasses.replace(
+                ps, box=(q, closed - 1 if count == closed else closed))
+            two = Fraction(2 * ps.value)
+            for ds in [d_star(beta)] + [two + Fraction(k, 10**14)
+                                        for k in range(-3, 4)]:
+                want = _oracle_discrelation(alpha, beta, ds)
+                for prefix in (ps, other):
+                    assert discrelation_holds(alpha, beta, ds, prefix) \
+                        == want, (alpha, n, ds, prefix.box)
+    assert calls  # the near-tie path ran
+
+
+def test_discrelation_holds_compares_fractions_for_rational_alpha():
+    alpha = Fraction(3, 7)
+    beta = sos_perm(20, alpha, tie_break=True)
+    ps = max_prefix_star(alpha, beta)
+    assert discrelation_holds(alpha, beta, 2 * ps.value, ps)
+    assert not discrelation_holds(
+        alpha, beta, 2 * ps.value + Fraction(1, 10**30), ps)
