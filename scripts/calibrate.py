@@ -39,6 +39,7 @@ from qrperm import (
 )
 from qrperm import calibration
 from qrperm.corpus import corpus_perms, primes_in
+from qrperm.expsums import _walks
 from qrperm.scan import csv_rows, scan_psi
 
 
@@ -78,8 +79,7 @@ def erdos_turan_needed_c(max_n: int) -> tuple[float, str]:
         n = sigma.n
         img = np.asarray(sigma.image, dtype=np.int64)
         ks = np.arange(1, n + 1, dtype=np.int64)
-        unit = np.exp(2j * np.pi * (ks[:, None] * img[None, :] % n) / n)
-        mags = np.abs(np.cumsum(unit, axis=1))        # (k, m), m = 1..n
+        mags = np.abs(_walks(img, n, ks))             # (k, m), m = 1..n
         tail = np.cumsum(mags / ks[:, None], axis=0)  # (K, m)
         discs = prefix_star_nums(img, img, n) / n
         ms = np.arange(1, n + 1, dtype=np.float64)

@@ -93,8 +93,7 @@ def cf_of_rational(num: int, den: int) -> ContinuedFraction:
     return ContinuedFraction(a0, tuple(quotients))
 
 
-def cf_of_quadratic(alpha: QuadraticIrrational,
-                    max_terms: int = 10_000) -> ContinuedFraction:
+def cf_of_quadratic(alpha: QuadraticIrrational) -> ContinuedFraction:
     """Expansion of a quadratic irrational with exact period detection."""
     # normalize to (P + sqrt(D)) / Q with the sqrt coefficient +1
     if alpha.b > 0:
@@ -107,7 +106,7 @@ def cf_of_quadratic(alpha: QuadraticIrrational,
         q_ *= abs(q_)
     terms: list[int] = []
     seen: dict[tuple[int, int], int] = {}
-    while len(terms) <= max_terms:
+    while len(terms) <= 10_000:
         state = (p_, q_)
         if state in seen:
             k0, k = seen[state], len(terms)
@@ -123,7 +122,7 @@ def cf_of_quadratic(alpha: QuadraticIrrational,
         p_next = a_i * q_ - p_
         q_next = (d_ - p_next * p_next) // q_
         p_, q_ = p_next, q_next
-    raise QrpermError(f"period not closed within {max_terms} terms")
+    raise QrpermError("period not closed within 10000 terms")
 
 
 def _quotient_stream(cf: ContinuedFraction):

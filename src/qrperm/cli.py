@@ -268,8 +268,16 @@ def _add_family_flags(sp):
                     "gen-format text file instead")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Bad arguments raise QrpermError, so main reports them like any bad
+    input; the subparsers inherit the class."""
+
+    def error(self, message):
+        raise QrpermError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrperm",
         description="discrepancy, exponential sums, and quasirandomness "
                     "statistics for arithmetic permutation families")
@@ -348,13 +356,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    ns = parser.parse_args(argv)
-    pairs = vars(ns)
-    command = pairs.pop("command")
-    config_path = pairs.pop("config", None)
     try:
-        cfg = resolve(command, pairs, config_path)
+        pairs = vars(make_parser().parse_args(argv))
+        command = pairs.pop("command")
+        cfg = resolve(command, pairs, pairs.pop("config", None))
         return _COMMANDS[command](cfg)
     except (QrpermError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

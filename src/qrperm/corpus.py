@@ -23,9 +23,8 @@ def primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in range(max(lo, 2), hi + 1) if is_prime(p)]
 
 
-def corpus_perms(max_n: int = 127, include_random: bool = True,
-                 random_n: int = 100, random_count: int = 50,
-                 seed_base: int = 1000) -> list[Permutation]:
+def corpus_perms(max_n: int = 127,
+                 include_random: bool = True) -> list[Permutation]:
     out: list[Permutation] = []
     for p in primes_in(5, max_n):
         ks = sorted({2, 3, (p + 1) // 2, p - 2})
@@ -48,6 +47,5 @@ def corpus_perms(max_n: int = 127, include_random: bool = True,
         out.append(identity_perm(n))
         out.append(reversal_perm(n))
     if include_random:
-        out.extend(random_perm(random_n, seed_base + i)
-                   for i in range(random_count))
+        out.extend(random_perm(100, seed) for seed in range(1000, 1050))
     return out

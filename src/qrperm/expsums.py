@@ -25,8 +25,10 @@ window [u, v) sums to P_v - P_u, and _widest_window's max_{u<v}
 |P_v - P_u| serves completion_check and qrstats.eigenvalue_stat.  As
 sigma is a permutation and k != 0 mod n, the full-circle sum P_n is 0,
 so a wrapping window, the complement of [u, v), sums to -(P_v - P_u).
-_walk_maxima gives max_m |P_m| for a block of k at once: it is
-max_incomplete_sum's quantity, and eigenvalue_stat's bound
+_walks, the one builder of walks, gives the rows P_1..P_r for a block
+of k at once (the window users put P_0 = 0 in front); _walk_maxima
+reduces them to max_m |P_m|: max_incomplete_sum's quantity, and
+eigenvalue_stat's bound
 max_{u<v} |P_v - P_u| <= 2 max_m |P_m| (as P_0 = 0).
 """
 
@@ -39,7 +41,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidGeneratorError, NotAUnitError, QrpermError
+from .calibration import ERDOS_TURAN_C
+from .errors import (InvalidGeneratorError, NotAUnitError, QrpermError,
+                     SizeRefusedError)
 from .families import Permutation, _params
 from .intervals import Interval
 from .modular import as_prime, mod_inv, multiplicative_order
@@ -94,23 +98,27 @@ def _widest_window(prefix: np.ndarray) -> tuple[float, int, int]:
     return math.sqrt(best[0]), best[1], best[2]
 
 
+def _walks(values: np.ndarray, n: int, ks) -> np.ndarray:
+    """Rows P_1..P_r of the prefix walks P_m = sum_{s<m} e(k*values[s]/n)
+    of an int64 array of any r integers, one contiguous row per signed
+    multiplier k in ks: one gather from _roots(n), one cumsum."""
+    ks = np.asarray(ks, dtype=np.int64)
+    return np.cumsum(_roots(n)[(ks[:, None] * values) % n], axis=1)
+
+
 def _walk_maxima(sigma: Permutation,
                  ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each signed multiplier k in ks, (max over 1 <= m <= n of
     |P_m|, the first m attaining it) for the prefix walk
-    P_m = sum_{s<m} e(k*sigma(s)/n).  _WINDOW_ROWS multipliers go at a
-    time: one gather from _roots(n), a cumsum along the rows, a row
-    max and argmax of |.|."""
-    n = sigma.n
-    roots = _roots(n)
+    P_m = sum_{s<m} e(k*sigma(s)/n), from _walks blocks of
+    _WINDOW_ROWS multipliers: a row max and argmax of |.|."""
     img = np.asarray(sigma.image, dtype=np.int64)
     mags = np.empty(len(ks))
     ms = np.empty(len(ks), dtype=np.int64)
     for i0 in range(0, len(ks), _WINDOW_ROWS):
-        rows = ks[i0:i0 + _WINDOW_ROWS]
-        walk = np.abs(np.cumsum(roots[(rows[:, None] * img) % n], axis=1))
-        mags[i0:i0 + len(rows)] = walk.max(axis=1)
-        ms[i0:i0 + len(rows)] = walk.argmax(axis=1) + 1
+        walk = np.abs(_walks(img, sigma.n, ks[i0:i0 + _WINDOW_ROWS]))
+        mags[i0:i0 + len(walk)] = walk.max(axis=1)
+        ms[i0:i0 + len(walk)] = walk.argmax(axis=1) + 1
     return mags, ms
 
 
@@ -221,25 +229,25 @@ def interval_fourier(j_int: Interval, k: int) -> SumValue:
                                length=j_int.length))
 
 
-def _erdos_turan_curve(points, k_max: int, c_const: float) -> np.ndarray:
-    """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for K = 1..k_max."""
+def _erdos_turan_curve(points, k_max: int) -> np.ndarray:
+    """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for K = 1..k_max, with
+    C = ERDOS_TURAN_C."""
     if k_max < 1:
         raise QrpermError("K must be >= 1")
     pts = np.asarray(list(points), dtype=np.float64)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     mags = np.abs(np.exp(2j * np.pi * ks[:, None] * pts[None, :]).sum(axis=1))
-    return c_const * (len(pts) / ks + np.cumsum(mags / ks))
+    return ERDOS_TURAN_C * (len(pts) / ks + np.cumsum(mags / ks))
 
 
-def erdos_turan_bound(points, k_max: int, c_const: float = 4.0) -> float:
+def erdos_turan_bound(points, k_max: int) -> float:
     """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for reals in [0, 1)."""
-    return float(_erdos_turan_curve(points, k_max, c_const)[-1])
+    return float(_erdos_turan_curve(points, k_max)[-1])
 
 
-def erdos_turan_min(points, k_limit: int,
-                    c_const: float = 4.0) -> tuple[int, float]:
+def erdos_turan_min(points, k_limit: int) -> tuple[int, float]:
     """(K*, bound*) minimizing the Erdos-Turan bound over K <= k_limit."""
-    curve = _erdos_turan_curve(points, k_limit, c_const)
+    curve = _erdos_turan_curve(points, k_limit)
     best = int(np.argmin(curve))
     return best + 1, float(curve[best])
 
@@ -261,14 +269,14 @@ def completion_check(sigma: Permutation, k: int,
     (1 + ln n) times the worst twisted complete sum."""
     n = sigma.n
     if n > cap:
-        raise QrpermError(f"n = {n} exceeds cap {cap}")
+        raise SizeRefusedError(f"n = {n} exceeds cap {cap}")
     if k % n == 0:
         raise QrpermError("k must be nonzero mod n")
-    roots = _roots(n)
-    vals = roots[(k * np.asarray(sigma.image, dtype=np.int64)) % n]
-    # max over a of |sum_s vals[s] e(as/n)|: a DFT of vals
-    max_twisted = float(np.abs(np.fft.fft(vals)).max())
-    widest, _, _ = _widest_window(np.concatenate(([0j], np.cumsum(vals))))
+    img = np.asarray(sigma.image, dtype=np.int64)
+    # max over a of |sum_s e((k sigma(s) + a s)/n)|: a DFT of the terms
+    max_twisted = float(np.abs(np.fft.fft(_roots(n)[(k * img) % n])).max())
+    walk = _walks(img, n, [k])[0]
+    widest, _, _ = _widest_window(np.concatenate(([0j], walk)))
     bound = 1.0 + math.log(n)
     ratio = widest / max_twisted if max_twisted > 0 else math.inf
     return CompletionReport(n, k, widest, max_twisted, ratio, bound,

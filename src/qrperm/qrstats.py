@@ -18,10 +18,10 @@ ranksets._earlier_smaller, which gives c[j] = #{i < j : v_i < v_j} by
 bottom-up merge counting (O(r log^2 r) time, O(r) memory);
 _pattern_counts derives all of them at once.  Length-2 counts are
 sum c; each length-3 count is a sum over the middle or last entry of
-products of c, j - c and the rank - c later entries below.  The caps
-(length 2 at n = 10^6, length 3 at n = 2000) no longer reflect this
-cost, but they decide which pattern keys property_profile (and so
-`stats`) writes; lifting them changes that output, so they stay.
+products of c, j - c and the rank - c later entries below.  Each such
+sum is at most C(r, 3), so the int64 sums are exact while
+C(r, 3) < 2^63 (r up to 3810779); a length-3 count past that is the
+one size refused.  Length 1 and 2 have no size limit.
 """
 
 from __future__ import annotations
@@ -35,13 +35,11 @@ import numpy as np
 
 from .discrepancy import D_EXACT_CAP, build_report
 from .errors import QrpermError, SizeRefusedError
-from .expsums import _roots, _walk_maxima, _widest_window
+from .expsums import _walk_maxima, _walks, _widest_window
 from .families import Permutation
 from .intervals import Interval
 from .ranksets import _earlier_smaller
 
-PATTERN3_CAP = 2000
-PATTERN2_CAP = 10 ** 6
 EIGEN_CAP = 4096
 _UB_SLACK = 1e-9  # relative rounding room on eigenvalue_stat's bound
 
@@ -55,16 +53,21 @@ def _validate_pattern(tau) -> tuple[int, ...]:
     return tau
 
 
-def _pattern_counts(values) -> dict[tuple[int, ...], int]:
+def _pattern_counts(values, longest: int) -> dict[tuple[int, ...], int]:
     """Occurrences of every pattern of length 1 and 2, and of length 3
-    up to PATTERN3_CAP entries, in a sequence of distinct integers, all
-    from one call of the earlier-smaller kernel: each length-3 sum runs
-    over the middle or the last entry of an occurrence."""
+    if longest is 3, in a sequence of distinct integers, all from one
+    call of the earlier-smaller kernel: each length-3 sum runs over the
+    middle or the last entry of an occurrence.  Length 3 is refused
+    unless C(r, 3) < 2^63, the bound on every length-3 sum under which
+    the int64 sums are exact."""
     r = len(values)
+    if longest == 3 and math.comb(r, 3) >= 2 ** 63:
+        raise SizeRefusedError(
+            f"length-3 pattern counts of {r} entries overflow int64")
     c = _earlier_smaller(values)
     x01 = int(c.sum())
     counts = {(0,): r, (0, 1): x01, (1, 0): r * (r - 1) // 2 - x01}
-    if r > PATTERN3_CAP:
+    if longest < 3:
         return counts
     j = np.arange(r)
     rank = np.empty(r, dtype=np.int64)
@@ -84,22 +87,10 @@ def _pattern_counts(values) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def _domain_counts(sigma: Permutation, m: int) -> dict[tuple[int, ...], int]:
-    """_pattern_counts of sigma's full image, refused above the cap for
-    patterns of length m."""
-    if m == 3 and sigma.n > PATTERN3_CAP:
-        raise SizeRefusedError(
-            f"length-3 patterns capped at n = {PATTERN3_CAP}")
-    if m == 2 and sigma.n > PATTERN2_CAP:
-        raise SizeRefusedError(
-            f"length-2 patterns capped at n = {PATTERN2_CAP}")
-    return _pattern_counts(sigma.image)
-
-
 def pattern_count(sigma: Permutation, tau) -> int:
     """X^tau(sigma): occurrences of the pattern on the full domain."""
     tau = _validate_pattern(tau)
-    return _domain_counts(sigma, len(tau))[tau]
+    return _pattern_counts(sigma.image, len(tau))[tau]
 
 
 @dataclass(frozen=True)
@@ -123,18 +114,15 @@ def restricted_pattern_count(sigma: Permutation, tau, i_int: Interval,
     sigma^{-1}(J)."""
     tau = _validate_pattern(tau)
     pos = restriction(sigma, i_int, j_int)
-    if len(tau) == 3 and len(pos) > PATTERN3_CAP:
-        raise SizeRefusedError(
-            f"length-3 patterns capped at size {PATTERN3_CAP}")
     values = [sigma.image[x] for x in pos]
-    return RestrictedCount(_pattern_counts(values)[tau], len(pos))
+    return RestrictedCount(_pattern_counts(values, len(tau))[tau], len(pos))
 
 
 def two_subseq_stat(sigma: Permutation, i_int: Interval,
                     j_int: Interval) -> int:
     """Signed imbalance X^(01) - X^(10) on the restriction."""
     counts = _pattern_counts([sigma.image[x]
-                              for x in restriction(sigma, i_int, j_int)])
+                              for x in restriction(sigma, i_int, j_int)], 2)
     return counts[(0, 1)] - counts[(1, 0)]
 
 
@@ -192,7 +180,6 @@ def eigenvalue_stat(sigma: Permutation, alpha: float,
         raise SizeRefusedError(f"n = {n} exceeds cap {cap}")
     if n < 2:
         raise QrpermError("n must be >= 2")
-    roots = _roots(n)
     img = np.asarray(sigma.image, dtype=np.int64)
     ks = np.arange(1, n // 2 + 1)
     walk_max, _ = _walk_maxima(sigma, -ks)
@@ -203,8 +190,8 @@ def eigenvalue_stat(sigma: Permutation, alpha: float,
         if best is not None and ub[i] * (1.0 + _UB_SLACK) < best.value:
             break
         k = i + 1
-        prefix = np.concatenate(([0j], np.cumsum(roots[(-k * img) % n])))
-        mag, u, v = _widest_window(prefix)
+        walk = _walks(img, n, [-k])[0]
+        mag, u, v = _widest_window(np.concatenate(([0j], walk)))
         value = mag / float(k) ** alpha
         # among equal values the least k wins, as in a scan by increasing k
         if best is None or (value, -k) > (best.value, -best.k):
@@ -285,7 +272,7 @@ def property_profile(sigma: Permutation, alpha: float = 0.5,
     ub = build_report(sigma, exact_cap).d_upper
     sp = max(separability_stat(sigma, a, b, full, full)
              for a in (first, second) for b in (first, second))
-    counts = _domain_counts(sigma, 2)   # length 3 only up to PATTERN3_CAP
+    counts = _pattern_counts(sigma.image, 3)
     eig = eigenvalue_stat(sigma, alpha) if n <= EIGEN_CAP else None
     return PropertyProfile(
         n=n, family=sigma.family, params=sigma.params, ub=ub,

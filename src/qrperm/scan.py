@@ -30,7 +30,7 @@ from .cfrac import (_parse_bound, _quotient_stream, cf_of_quadratic,
                     cf_of_rational, continuant, zaremba_search)
 from .discrepancy import d_star
 from .errors import QrpermError
-from .expsums import _roots
+from .expsums import _walks
 from .families import psi, sos_perm
 from .modular import is_prime
 from .quadirr import QuadraticIrrational, parse_alpha
@@ -143,7 +143,9 @@ def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
 
 def _gauss_prime(args: tuple[int, tuple[int, ...]]) -> list[ScanRecord]:
     p, a_values = args
-    roots = _roots(p)
+    # distinct nonzero residues in first-occurrence order, so ties in
+    # p_max_incomplete break as in a scan of a_values
+    residues = list(dict.fromkeys(a % p for a in a_values if a % p))
     scale = float(p) ** 0.75
     out: list[ScanRecord] = []
     best = -1.0
@@ -153,21 +155,21 @@ def _gauss_prime(args: tuple[int, tuple[int, ...]]) -> list[ScanRecord]:
             continue
         pw = np.array([pow(s, k, p) for s in range(1, p + 1)],
                       dtype=np.int64)
-        for a in a_values:
-            if a % p == 0:
-                continue
-            cum = np.cumsum(roots[(a * pw) % p])
-            mags = np.abs(cum)
-            m_star = 1 + int(np.argmax(mags))
-            peak = float(mags[m_star - 1])
-            out.append(rec_f("gauss-scan", p, {"k": k, "a": a % p},
+        walks = _walks(pw, p, residues)
+        mags = np.abs(walks)
+        for a, walk, row in zip(residues, walks, mags):
+            m_star = 1 + int(np.argmax(row))
+            peak = float(row[m_star - 1])
+            out.append(rec_f("gauss-scan", p, {"k": k, "a": a},
                              "max_incomplete", peak, peak / scale))
-            out.append(rec_f("gauss-scan", p, {"k": k, "a": a % p},
+            out.append(rec_f("gauss-scan", p, {"k": k, "a": a},
                              "argmax_m", float(m_star), m_star / p))
-            out.append(rec_f("gauss-scan", p, {"k": k, "a": a % p},
-                             "complete_mag", float(abs(cum[-1]))))
+            # abs of the scalar: np.abs over the array rounds the last
+            # bit of |P_p| ~ 1e-16 differently (p = 11, k = 3)
+            out.append(rec_f("gauss-scan", p, {"k": k, "a": a},
+                             "complete_mag", float(abs(walk[-1]))))
             if peak > best:
-                best, best_at = peak, (k, a % p)
+                best, best_at = peak, (k, a)
     if best >= 0.0:
         out.append(rec_f("gauss-scan", p,
                          {"k": best_at[0], "a": best_at[1]},

@@ -13,6 +13,7 @@ from qrperm import (
     InvalidGeneratorError,
     NotAUnitError,
     QrpermError,
+    SizeRefusedError,
     completion_check,
     erdos_turan_bound,
     erdos_turan_min,
@@ -34,6 +35,7 @@ from qrperm import (
 )
 
 from qrperm.calibration import PV_CONSTANT, W_SUM_CONSTANT
+from qrperm.expsums import _walks
 
 from conftest import PRIMES_TO_200, assert_close, e_direct, slow_sum
 
@@ -70,6 +72,19 @@ def test_incomplete_sigma_sum_frozen():
         incomplete_sigma_sum(psi(5, 2), 1, 6)
     with pytest.raises(QrpermError, match="outside"):
         incomplete_sigma_sum(psi(5, 2), 1, 0)
+
+
+def test_walks_match_slow_sum():
+    p = 13
+    squares = [pow(s, 2, p) for s in range(1, p + 1)]  # not a permutation
+    for values in (list(random_perm(p, 4).image), squares):
+        ks = [1, -3, 0, p, 2 * p + 5, -27]   # k = 0 mod n, k > n, k < 0
+        walks = _walks(np.asarray(values, dtype=np.int64), p, ks)
+        assert walks.shape == (len(ks), p) and walks.flags.c_contiguous
+        for row, k in zip(walks, ks):
+            for m in range(1, p + 1):
+                want = slow_sum([k * v for v in values[:m]], p)
+                assert abs(row[m - 1] - want) <= 1e-9 * m
 
 
 @given(st.integers(2, 40), st.integers(0, 2**32), st.data())
@@ -298,7 +313,7 @@ def test_completion_max_window_matches_brute_force():
 
 
 def test_completion_check_validation():
-    with pytest.raises(QrpermError, match="cap"):
+    with pytest.raises(SizeRefusedError, match="cap"):
         completion_check(identity_perm(10), 1, cap=9)
     with pytest.raises(QrpermError, match="nonzero"):
         completion_check(identity_perm(10), 10)

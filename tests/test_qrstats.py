@@ -78,8 +78,43 @@ def test_pattern_validation():
         pattern_count(sigma, (0, 1, 2, 3))
     with pytest.raises(QrpermError, match="not a pattern"):
         pattern_count(sigma, (0, 2))
-    with pytest.raises(SizeRefusedError):
-        pattern_count(identity_perm(2001), (0, 1, 2))
+
+
+def test_pattern_counts_above_2000():
+    n = 2001
+    c3 = math.comb(n, 3)
+    for sigma, tau in ((identity_perm(n), (0, 1, 2)),
+                       (reversal_perm(n), (2, 1, 0))):
+        for other in ALL_PATTERNS[3:]:
+            assert pattern_count(sigma, other) == (c3 if other == tau else 0)
+    for seed in (0, 1):
+        sigma = random_perm(2500, seed)
+        assert sum(pattern_count(sigma, tau)
+                   for tau in ALL_PATTERNS[3:]) == math.comb(2500, 3)
+    # positions 100..2149 of the identity: 2050 increasing entries
+    got = restricted_pattern_count(identity_perm(2400), (0, 1, 2),
+                                   Interval(2400, 100, 2100),
+                                   Interval(2400, 0, 2150))
+    assert (got.size, got.count) == (2050, math.comb(2050, 3))
+
+
+def test_pattern_counts_int64_refusal(monkeypatch):
+    r = 3810780   # the least r with C(r, 3) >= 2^63
+    assert math.comb(r - 1, 3) < 2 ** 63 <= math.comb(r, 3)
+    calls = []
+
+    def kernel(values):
+        calls.append(len(values))
+        return np.zeros(len(values), dtype=np.int64)
+
+    monkeypatch.setattr(qrstats, "_earlier_smaller", kernel)
+    with pytest.raises(SizeRefusedError, match="overflow int64"):
+        qrstats._pattern_counts(range(r), 3)
+    assert calls == []
+    # length 1 and 2 have no size limit
+    counts = qrstats._pattern_counts(range(r), 2)
+    assert counts == {(0,): r, (0, 1): 0, (1, 0): math.comb(r, 2)}
+    assert calls == [r]
 
 
 # ----------------------------------------------------------- restrictions

@@ -173,6 +173,14 @@ def test_scan_obryant_frozen_at_200():
     assert by[("target_hit", "1000000")].value_num == 0
 
 
+def test_scan_gauss_merges_equal_residues(tmp_path):
+    records = scan_gauss(11, 13, (1, 14))     # 14 = 1 mod 13
+    emit(records, str(tmp_path), "g", {})
+    assert [r for r in records if r.n_or_p == 13] == scan_gauss(13, 13, (1,))
+    assert {dict(r.params)["a"] for r in records if r.n_or_p == 11} \
+        == {"1", "3"}
+
+
 def test_empty_scans_yield_zero_records():
     assert scan_psi(24, 28) == []
     assert scan_gauss(24, 28) == []
@@ -472,6 +480,20 @@ def _assert_cli_error(argv, capsys):
     return err
 
 
+def test_cli_argparse_errors_keep_the_error_contract(capsys):
+    assert "invalid int value: 'abc'" in _assert_cli_error(
+        ["disc", "--n", "abc"], capsys)
+    assert "invalid choice: 'nope'" in _assert_cli_error(
+        ["disc", "--family", "nope", "--n", "7"], capsys)
+    assert "invalid choice: 'frobnicate'" in _assert_cli_error(
+        ["frobnicate"], capsys)
+    for argv in (["--version"], ["disc", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(("qrperm ", "usage: "))
+
+
 def test_cli_zaremba_rejects_non_numeric_bound(capsys):
     err = _assert_cli_error(["zaremba", "--nmin", "5", "--nmax", "6",
                              "--bound", "abc"], capsys)
@@ -531,6 +553,16 @@ def test_cli_stats_honours_exact_cap(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["d_exact"] is not None
     assert ub == report["d_upper"]
+
+
+def test_cli_stats_writes_every_pattern_key_above_2000(capsys):
+    assert main(["stats", "--family", "psi", "--n", "2003", "--k", "7"]) == 0
+    counts = json.loads(capsys.readouterr().out)["pattern_counts"]
+    assert sorted(counts) == ["01", "012", "021", "10", "102", "120",
+                              "201", "210"]
+    assert counts["01"] + counts["10"] == math.comb(2003, 2)
+    assert sum(v for key, v in counts.items() if len(key) == 3) \
+        == math.comb(2003, 3)
 
 
 def test_cli_stats_profile(capsys):
