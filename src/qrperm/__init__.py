@@ -9,8 +9,7 @@ psi / lambda / eta / rho.
 from .cfrac import (AverageCheck, ContinuedFraction, ZarembaResult,
                     bounded_average_check, cf_of_quadratic, cf_of_rational,
                     continuant, convergents, zaremba_search)
-from .discrepancy import (DiscrepancyReport, RealStarDisc, build_report,
-                          d_exact, d_star, interval_hit,
+from .discrepancy import (DiscrepancyReport, build_report, d_exact, d_star,
                           min_hitting_length, real_star_disc,
                           set_discrepancy, verify_interval_hits)
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
@@ -25,9 +24,9 @@ from .families import (Permutation, bit_reversal, compose, eta_power,
                        random_perm, reversal_perm, rho_exp, sos_perm,
                        to_text)
 from .intervals import Interval, all_intervals
-from .modular import (PrimeModulus, euler_phi, factorize,
-                      find_primitive_root, is_prime, is_primitive_root,
-                      mod_inv, mod_pow, multiplicative_order)
+from .modular import (PrimeModulus, factorize, find_primitive_root,
+                      is_prime, is_primitive_root, mod_inv,
+                      multiplicative_order)
 from .qrstats import (EigenvalueStat, PropertyProfile, eigenvalue_stat,
                       pattern_count, property_profile,
                       restricted_pattern_count, restriction,
@@ -35,9 +34,9 @@ from .qrstats import (EigenvalueStat, PropertyProfile, eigenvalue_stat,
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       floor_surd, frac_compare, frac_float, golden,
                       is_square_free, parse_alpha, sign_of_surd, sqrt_irr)
-from .ranksets import (ASet, GapCheck, PrefixStar, a_set, b_of_k,
-                       b_sequence, discrelation_holds, gap_check,
-                       max_prefix_star, prefix_star_nums)
+from .ranksets import (ASet, GapCheck, PrefixStar, a_set, b_sequence,
+                       discrelation_holds, gap_check, max_prefix_star,
+                       prefix_star_nums)
 
 __version__ = "0.1.0"
 

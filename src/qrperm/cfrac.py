@@ -5,6 +5,12 @@ quotient >= 2, except the single-term integer case), so every rational
 has one representation and denominators of [0; a_1..a_m] are exactly the
 continuants K(a_1..a_m).
 
+One recurrence gives every convergent: _convergent_stream yields
+(a_i, p_i, q_i) along any quotient sequence, and _quotient_stream
+unrolls an expansion into one (the periodic tail cycles forever).
+convergents, continuant, the three-distance walk of sos_perm and the
+quotient profile of scan_sos all read it.
+
 Quadratic irrationals get the classical (P + sqrt(D))/Q surd recurrence
 with period detection on the (P, Q) state, so golden -> [1; (1)],
 sqrt(2) -> [1; (2)], sqrt(3) -> [1; (1, 2)] terminate with an explicit
@@ -18,6 +24,7 @@ maximal quotient, breaking ties by maximal prefix average.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,13 +133,23 @@ def cf_of_quadratic(alpha: QuadraticIrrational) -> ContinuedFraction:
 
 
 def _quotient_stream(cf: ContinuedFraction):
-    i = 1
-    while True:
-        try:
-            yield cf.quotient(i)
-        except QrpermError:
-            return
-        i += 1
+    """a_1, a_2, ...: the stored quotients, then the periodic tail
+    forever; a finite expansion ends after its last quotient."""
+    yield from cf.quotients
+    if cf.periodic_tail is not None:
+        yield from itertools.cycle(cf.quotients[cf.periodic_tail:])
+
+
+def _convergent_stream(a0: int, quotients):
+    """(a_i, p_i, q_i) for i = 1, 2, ...: each partial quotient of
+    [a0; a_1, a_2, ...] with its convergent p_i/q_i, from the recurrence
+    x_i = a_i*x_{i-1} + x_{i-2}, (p_{-1}, q_{-1}) = (1, 0) and
+    (p_0, q_0) = (a0, 1).  q_i is the continuant K(a_1..a_i)."""
+    p_prev, p, q_prev, q = 1, a0, 0, 1
+    for a in quotients:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        yield a, p, q
 
 
 def convergents(cf: ContinuedFraction, m: int) -> list[Fraction]:
@@ -144,31 +161,22 @@ def convergents(cf: ContinuedFraction, m: int) -> list[Fraction]:
     """
     if m < 0:
         raise QrpermError("m must be >= 0")
-    out: list[Fraction] = []
-    h_prev, h = 1, cf.a0
-    k_prev, k = 0, 1
-    if cf.a0 != 0 and m > 0:
-        out.append(Fraction(h, k))
-    stream = _quotient_stream(cf)
-    while len(out) < m:
-        try:
-            a = next(stream)
-        except StopIteration:
-            raise QrpermError(
-                f"expansion has only {len(out)} convergents, wanted {m}")
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-        out.append(Fraction(h, k))
+    out = [Fraction(cf.a0)] if cf.a0 != 0 and m > 0 else []
+    stream = _convergent_stream(cf.a0, _quotient_stream(cf))
+    out += [Fraction(p, q) for _, p, q in
+            itertools.islice(stream, m - len(out))]
+    if len(out) < m:
+        raise QrpermError(
+            f"expansion has only {len(out)} convergents, wanted {m}")
     return out
 
 
 def continuant(quotients) -> int:
     """K(a_1, ..., a_m): the denominator of [0; a_1, ..., a_m].  K() = 1."""
-    q_prev, q = 0, 1
-    for a in quotients:
+    q = 1
+    for a, _, q in _convergent_stream(0, quotients):
         if a < 1:
             raise QrpermError("partial quotients must be >= 1")
-        q_prev, q = q, a * q + q_prev
     return q
 
 

@@ -38,9 +38,9 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     pairs i < j suffice.  Cubic; the size cap refuses
                     anything above it.
 
-real_star_disc handles finite multisets in [0, 1) and returns the
-closed-interval and half-open conventions separately (for finite sets
-the suprema agree, but callers should not have to know that).
+real_star_disc handles finite multisets in [0, 1).  For a finite set
+the closed [0, x] and half-open [0, x) conventions have the same
+supremum, so it returns that one value.
 """
 
 from __future__ import annotations
@@ -146,48 +146,19 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
     return Fraction(best, n)
 
 
-@dataclass(frozen=True)
-class RealStarDisc:
-    closed: object     # sup over [0, x], 0 <= x <= 1
-    half_open: object  # sup over [0, x)
-
-
-def real_star_disc(points) -> RealStarDisc:
-    """Star discrepancy of a finite multiset in [0, 1), both interval
-    conventions.  Exact if the points are Fractions, float otherwise."""
+def real_star_disc(points):
+    """Star discrepancy sup_x |#{p <= x} - m*x| of a finite multiset of
+    m points in [0, 1): exact if the points are Fractions, float if they
+    are floats, 0 if there are none.  The sup over [0, x) is the same
+    number: both are the max over the sorted points v_i of |i - m*v_i|
+    and |i + 1 - m*v_i| (within a run of equal points |c - m*v| is
+    largest at the run's ends, so every index may serve)."""
     pts = sorted(points)
     m = len(pts)
-    if m == 0:
-        return RealStarDisc(0, 0)
-    if pts[0] < 0 or pts[-1] >= 1:
+    if pts and (pts[0] < 0 or pts[-1] >= 1):
         raise QrpermError("points must lie in [0, 1)")
-    closed = None
-    half_open = None
-    count_before = 0
-    i = 0
-    while i < m:
-        v = pts[i]
-        j = i
-        while j < m and pts[j] == v:
-            j += 1
-        count_at = j
-        # closed: |F(v) - v*m| attained, |F(v^-) - v*m| approached
-        c = max(abs(count_at - v * m), abs(count_before - v * m))
-        # half-open: |G(v) - v*m| attained, |G(v^+) - v*m| approached;
-        # G(v) = count_before, G(v^+) = count_at, so the same two values
-        h = max(abs(count_before - v * m), abs(count_at - v * m))
-        closed = c if closed is None else max(closed, c)
-        half_open = h if half_open is None else max(half_open, h)
-        count_before = count_at
-        i = j
-    return RealStarDisc(closed, half_open)
-
-
-def interval_hit(sigma: Permutation, i_int: Interval, j_int: Interval) -> bool:
-    """Is sigma(I) cap J nonempty?"""
-    if i_int.n != sigma.n or j_int.n != sigma.n:
-        raise QrpermError("interval modulus mismatch")
-    return any(j_int.contains(sigma.image[x]) for x in i_int.members())
+    return max((max(abs(i - m * v), abs(i + 1 - m * v))
+                for i, v in enumerate(pts)), default=0)
 
 
 def _ceil_sqrt(x) -> int:

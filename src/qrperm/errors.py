@@ -30,14 +30,16 @@ class NotAPermutationError(QrpermError):
 
 
 class InvalidGeneratorError(QrpermError):
-    """Element is not a primitive root; carries its actual order."""
+    """Element has the wrong multiplicative order (by default: is not a
+    primitive root); carries its actual order and the expected one."""
 
-    def __init__(self, value, modulus, order):
+    def __init__(self, value, modulus, order, expected=None):
         self.value = value
         self.modulus = modulus
         self.order = order
+        self.expected = modulus - 1 if expected is None else expected
         super().__init__(
-            f"{value} has order {order} mod {modulus}, not {modulus - 1}")
+            f"{value} has order {order} mod {modulus}, not {self.expected}")
 
 
 class AmbiguousOrderError(QrpermError):

@@ -191,7 +191,7 @@ def w_sum(p, a: int, c: int, theta: int, t: int) -> SumValue:
         raise NotAUnitError(c, p, p)
     order = multiplicative_order(theta, p)
     if order != t:
-        raise InvalidGeneratorError(theta, p, order)
+        raise InvalidGeneratorError(theta, p, order, t)
     roots = _roots(p)
     pow_x = [0] * (t + 1)  # theta^x mod p, x = 0..t
     pow_x[0] = 1

@@ -23,13 +23,14 @@ byte-exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cfrac import cf_of_quadratic
-from .errors import (AmbiguousOrderError, NotAPermutationError, NotAUnitError,
-                     QrpermError)
+from .cfrac import _convergent_stream, _quotient_stream, cf_of_quadratic
+from .errors import (AmbiguousOrderError, InvalidGeneratorError,
+                     NotAPermutationError, NotAUnitError, QrpermError)
 from .modular import as_prime, is_primitive_root, mod_inv, multiplicative_order
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       frac_compare)
@@ -156,7 +157,6 @@ def rho_exp(p, a: int, tau: int) -> Permutation:
     if tau == 0:
         raise NotAUnitError(tau, p, p)
     if not is_primitive_root(tau, p):
-        from .errors import InvalidGeneratorError
         raise InvalidGeneratorError(tau, p, multiplicative_order(tau, p))
     image = [0] * p
     cur = a
@@ -210,9 +210,9 @@ def _sorted_exact_irrational(n: int, alpha: QuadraticIrrational) -> list[int]:
     p1*(floor(pN*alpha) + 1) - pN*floor(p1*alpha) - 1 must be 0.
     """
     cf = cf_of_quadratic(alpha)
-    q_prev, q, i = 0, 1, 1
-    while (nxt := cf.quotient(i) * q + q_prev) <= n:
-        q_prev, q, i = q, nxt, i + 1
+    dens = [0, 1] + [q for _, _, q in itertools.takewhile(
+        lambda t: t[2] <= n, _convergent_stream(0, _quotient_stream(cf)))]
+    q_prev, q = dens[-2:]
     semi = q_prev + (n - q_prev) // q * q
     p1, pn = (q, semi) if frac_compare(alpha, q, semi) < 0 else (semi, q)
     order = [p1]

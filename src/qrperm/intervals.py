@@ -51,9 +51,6 @@ class Interval:
             out[:stop - self.n] = 1
         return out
 
-    def as_set(self) -> frozenset[int]:
-        return frozenset(self.members())
-
 
 def all_intervals(n: int):
     """Every cyclic interval of Z_n, full length included once (start 0)."""

@@ -3,12 +3,13 @@
 Everything here is integer-exact.  The operations are the primitives the
 permutation families and exponential-sum kernels are built from:
 
-    mod_pow(b, e, m)          square-and-multiply, O(log e) multiplies
     mod_inv(a, m)             extended Euclid; NotAUnitError carries the gcd
-    euler_phi(n)              via trial-division factorization
-    divisor_count(n)          product of (e_i + 1)
+    factorize(n)              trial division, {prime: exponent}
     multiplicative_order(x, p)  least t >= 1 with x^t = 1 (mod p)
     find_primitive_root(p)    smallest generator of Z_p^*
+    is_primitive_root(t, p)   t^((p-1)/q) != 1 for every prime q | p-1
+
+Modular powers are Python's three-argument pow.
 
 Primality certification is a deterministic Miller-Rabin with the witness
 set {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37}, which is exact for
@@ -73,14 +74,6 @@ def as_prime(p) -> int:
     return PrimeModulus(int(p)).p
 
 
-def mod_pow(base: int, exp: int, m: int) -> int:
-    if m == 0:
-        raise InvalidModulusError("modulus must be nonzero")
-    if exp < 0:
-        raise ValueError("negative exponent; use mod_inv first")
-    return pow(base % m, exp, m)
-
-
 def mod_inv(a: int, m: int) -> int:
     """Inverse of a mod m via extended Euclid; raises if gcd(a, m) != 1."""
     if m == 0:
@@ -104,24 +97,6 @@ def factorize(n: int) -> dict[int, int]:
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("euler_phi expects n >= 1")
-    result = n
-    for p in factorize(n):
-        result -= result // p
-    return result
-
-
-def divisor_count(n: int) -> int:
-    if n < 1:
-        raise ValueError("divisor_count expects n >= 1")
-    out = 1
-    for e in factorize(n).values():
-        out *= e + 1
     return out
 
 

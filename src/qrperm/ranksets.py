@@ -9,9 +9,7 @@ shift: sigma(q) below means image[q-1] compared as integers),
 B_sigma(k) is the rank of sigma(k) among the first k values, so
 B_sigma(1) = 1 always.  b_sequence is 1 + the earlier-smaller counts of
 _earlier_smaller, the kernel qrstats shares for its pattern counts:
-O(n log^2 n) time in about log2 n numpy levels, O(n) memory.  b_of_k
-is the same quantity for the ranking of {alpha*q} directly, with exact
-comparisons; it agrees with a_set applied to sos_perm.
+O(n log^2 n) time in about log2 n numpy levels, O(n) memory.
 
 The gap machinery: max_gap is the largest spacing between consecutive
 elements of A (with sentinels 0 and n+1), so "every interval of length L
@@ -43,16 +41,9 @@ from .discrepancy import _ceil_sqrt, _run_starts
 from .errors import QrpermError, SizeRefusedError
 from .families import Permutation
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
-                      frac_compare, frac_float, sign_of_surd)
+                      frac_float, sign_of_surd)
 
 _PREFIX_BLOCK = 1024  # columns per block of the prefix-star sweep
-
-
-def b_of_k(alpha, k: int) -> int:
-    """#{1 <= q <= k : {q*alpha} <= {k*alpha}}, exact."""
-    if k < 1:
-        raise QrpermError("k must be >= 1")
-    return sum(1 for q in range(1, k + 1) if frac_compare(alpha, q, k) <= 0)
 
 
 def _earlier_smaller(values) -> np.ndarray:
@@ -96,9 +87,6 @@ class ASet:
     max_gap: int             # max spacing with sentinels 0 and n+1
     count: int               # |A intersect [1, n]|
     widest_empty: tuple[int, int] | None  # [lo, hi] missing A, or None
-
-    def contains_in_every_window(self, length: int) -> bool:
-        return self.max_gap <= length
 
 
 def a_set(sigma: Permutation) -> ASet:

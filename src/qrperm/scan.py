@@ -10,11 +10,14 @@ into the JSON summary instead, where nobody diffs it).
 Workers: the point lists are embarrassingly parallel, so scans fan out
 over a fork pool when workers > 1 and run inline otherwise.  Worker
 payloads are plain tuples of ints/strings to keep pickling boring.
+scan_psi, scan_gauss and scan_sos share one driver, _scan: one
+_pool_map call over all points, then the records in emission order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -26,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cfrac import (_parse_bound, _quotient_stream, cf_of_quadratic,
-                    cf_of_rational, continuant, zaremba_search)
+from .cfrac import (_convergent_stream, _parse_bound, _quotient_stream,
+                    cf_of_quadratic, cf_of_rational, zaremba_search)
 from .discrepancy import d_star
 from .errors import QrpermError
 from .expsums import _walks
@@ -90,6 +93,12 @@ def _pool_map(fn, points, workers: int):
         return pool.map(fn, points, chunksize=1)
 
 
+def _scan(fn, points, workers: int) -> list[ScanRecord]:
+    """The records fn gives for every point, in emission order."""
+    chunks = _pool_map(fn, points, workers)
+    return sorted(itertools.chain.from_iterable(chunks), key=_sort_key)
+
+
 # ---------------------------------------------------------------- psi scan
 
 def _psi_prime(p: int) -> list[ScanRecord]:
@@ -133,10 +142,7 @@ def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
     not a D* symmetry.  Primes go to the pool largest first, since the
     cost per prime grows like p^3."""
     points = [p for p in range(pmax, max(pmin, 3) - 1, -1) if is_prime(p)]
-    out: list[ScanRecord] = []
-    for chunk in _pool_map(_psi_prime, points, workers):
-        out.extend(chunk)
-    return sorted(out, key=_sort_key)
+    return _scan(_psi_prime, points, workers)
 
 
 # -------------------------------------------------------------- gauss scan
@@ -186,10 +192,7 @@ def scan_gauss(pmin: int, pmax: int, a_values=(1,),
     a_values = tuple(a_values)
     points = [(p, a_values) for p in range(pmax, max(pmin, 5) - 1, -1)
               if is_prime(p)]    # largest first, for the pool
-    out: list[ScanRecord] = []
-    for chunk in _pool_map(_gauss_prime, points, workers):
-        out.extend(chunk)
-    return sorted(out, key=_sort_key)
+    return _scan(_gauss_prime, points, workers)
 
 
 # ---------------------------------------------------------------- sos scan
@@ -202,11 +205,8 @@ def _cf_profile(alpha, n: int) -> tuple[int, int, int]:
     else:
         alpha = Fraction(alpha)
         cf = cf_of_rational(alpha.numerator, alpha.denominator)
-    quots: list[int] = []
-    for a in _quotient_stream(cf):
-        if continuant(quots + [a]) > n:
-            break
-        quots.append(a)
+    quots = [a for a, _, _ in itertools.takewhile(
+        lambda t: t[2] <= n, _convergent_stream(cf.a0, _quotient_stream(cf)))]
     return (len(quots), sum(quots), max(quots, default=0))
 
 
@@ -255,10 +255,7 @@ def scan_sos(alpha_labels, n_list, workers: int = 1) -> list[ScanRecord]:
     for i, (label, n) in enumerate(points):
         if (label, n) in points[:i]:
             raise QrpermError(f"duplicate sos scan point alpha={label} n={n}")
-    out: list[ScanRecord] = []
-    for chunk in _pool_map(_sos_point, points, workers):
-        out.extend(chunk)
-    return sorted(out, key=_sort_key)
+    return _scan(_sos_point, points, workers)
 
 
 # ------------------------------------------------- rank-set / target scan
@@ -342,7 +339,9 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
     because it echoes knobs like the worker count that must not perturb
     the digest.  Both files are written in full to a temporary directory
     in out_dir and only then renamed into place, so a failure while
-    writing leaves an existing pair as it was.
+    writing leaves an existing pair as it was.  A kill between the two
+    renames pairs the new CSV with the old summary; the summary's
+    csv_body_sha256 then disagrees with the CSV body.
     """
     os.makedirs(out_dir, exist_ok=True)
     seen = set()

@@ -3,8 +3,10 @@
 The oracles here recompute everything from definitions, sharing no code
 with the library's optimized sweeps: d_star from per-prefix counting,
 d_exact from sliding-window counts over every cyclic interval pair
-(wrapping included), pattern counts from itertools.combinations.  The
-point is that a bug in the engine cannot hide in its own oracle.
+(wrapping included), pattern counts from itertools.combinations, hits
+sigma(I) cap J by scanning I, and B(k) for {alpha*q} by exact
+comparisons.  The point is that a bug in the engine cannot hide in its
+own oracle.
 """
 
 from __future__ import annotations
@@ -18,7 +20,10 @@ import numpy as np
 import pytest
 
 from qrperm.corpus import corpus_perms
+from qrperm.errors import QrpermError
 from qrperm.families import Permutation, random_perm
+from qrperm.intervals import Interval
+from qrperm.quadirr import frac_compare
 
 
 def _sieve(limit: int) -> list[int]:
@@ -108,6 +113,21 @@ def oracle_real_star(points):
         closed = max(closed, abs(le - m * x), abs(lt - m * x))
         half = max(half, abs(lt - m * x), abs(le - m * x))
     return closed, half
+
+
+def interval_hit(sigma: Permutation, i_int: Interval,
+                 j_int: Interval) -> bool:
+    """Is sigma(I) cap J nonempty?"""
+    if i_int.n != sigma.n or j_int.n != sigma.n:
+        raise QrpermError("interval modulus mismatch")
+    return any(j_int.contains(sigma.image[x]) for x in i_int.members())
+
+
+def b_of_k(alpha, k: int) -> int:
+    """#{1 <= q <= k : {q*alpha} <= {k*alpha}}, exact."""
+    if k < 1:
+        raise QrpermError("k must be >= 1")
+    return sum(1 for q in range(1, k + 1) if frac_compare(alpha, q, k) <= 0)
 
 
 def slow_sum(residues, n) -> complex:

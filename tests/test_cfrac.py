@@ -1,5 +1,6 @@
 """Continued fractions: expansions, convergents, continuants, Zaremba search."""
 
+import itertools
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -22,6 +23,7 @@ from qrperm import (
     sqrt_irr,
     zaremba_search,
 )
+from qrperm.cfrac import _convergent_stream, _quotient_stream
 
 
 def _decimal_cf_terms(x: Decimal, count: int) -> list[int]:
@@ -160,6 +162,35 @@ def test_continuant_reversal_and_recurrence(quotients):
 def test_continuant_is_denominator(n, data):
     k = data.draw(st.integers(1, n - 1).filter(lambda x: math.gcd(x, n) == 1))
     assert continuant(cf_of_rational(k, n).quotients) == n
+
+
+# ------------------------------------------------------ shared streams
+
+@given(st.integers(-50, 50), st.lists(st.integers(1, 40), max_size=12))
+@settings(max_examples=200)
+def test_convergent_stream_matches_fraction_values(a0, quotients):
+    got = list(_convergent_stream(a0, quotients))
+    assert [a for a, _, _ in got] == quotients
+    for i, (_, p, q) in enumerate(got, start=1):
+        # [a0; a_1..a_i] folded up from the right, in exact arithmetic
+        value = Fraction(0)
+        for a in reversed(quotients[:i]):
+            value = 1 / (a + value)
+        value += a0
+        assert q > 0 and (p, q) == (value.numerator, value.denominator)
+
+
+def test_quotient_stream_agrees_with_quotient():
+    for cf in (cf_of_quadratic(golden()), cf_of_quadratic(sqrt_irr(3)),
+               cf_of_quadratic(QuadraticIrrational(1, 1, 13, 3)),
+               cf_of_rational(355, 113)):
+        head = list(itertools.islice(_quotient_stream(cf), 40))
+        if cf.periodic_tail is None:
+            assert head == list(cf.quotients)   # finite: the stream ends
+        else:
+            assert len(head) == 40
+        assert head == [cf.quotient(i) for i in range(1, len(head) + 1)]
+    assert list(_quotient_stream(cf_of_rational(3, 1))) == []
 
 
 # ----------------------------------------------------- averages, zaremba

@@ -18,7 +18,6 @@ from qrperm import (
     d_star,
     golden,
     identity_perm,
-    interval_hit,
     invert,
     lambda_inv,
     min_hitting_length,
@@ -37,6 +36,7 @@ from qrperm.discrepancy import _deviation_rows
 from qrperm.families import Permutation
 
 from conftest import (
+    interval_hit,
     oracle_d_cyclic,
     oracle_d_star,
     oracle_d_star_cubic,
@@ -159,35 +159,32 @@ def test_d_star_int32_sweep_past_the_row_boundary(monkeypatch):
 # ------------------------------------------------------------- real star
 
 def test_real_star_disc_examples():
-    r = real_star_disc([Fraction(1, 2)])
-    assert r.closed == Fraction(1, 2) and r.half_open == Fraction(1, 2)
-    r = real_star_disc([Fraction(0), Fraction(1, 4), Fraction(1, 2),
-                        Fraction(3, 4)])
-    assert r.closed == Fraction(1)
-    assert r.half_open == Fraction(1)
-    r = real_star_disc([])
-    assert r.closed == 0 and r.half_open == 0
+    assert real_star_disc([Fraction(1, 2)]) == Fraction(1, 2)
+    assert real_star_disc([Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                           Fraction(3, 4)]) == Fraction(1)
+    assert real_star_disc([]) == 0
     # evenly shifted points are the low-discrepancy extreme
-    r = real_star_disc([Fraction(2 * i + 1, 8) for i in range(4)])
-    assert r.closed == Fraction(1, 2)
+    assert real_star_disc([Fraction(2 * i + 1, 8)
+                           for i in range(4)]) == Fraction(1, 2)
     with pytest.raises(QrpermError, match="\\[0, 1\\)"):
         real_star_disc([Fraction(1)])
 
 
 def test_real_star_disc_handles_duplicates():
-    r = real_star_disc([Fraction(1, 2), Fraction(1, 2)])
-    assert r.closed == Fraction(1)
-    assert r.half_open == Fraction(1)
+    assert real_star_disc([Fraction(1, 2), Fraction(1, 2)]) == Fraction(1)
+    # a run of three equal points: the value is at the run's ends
+    assert real_star_disc([Fraction(0), Fraction(1, 4), Fraction(1, 4),
+                           Fraction(1, 4)]) == Fraction(3)
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=Fraction(63, 64),
                              max_denominator=64), max_size=12))
 @settings(max_examples=150)
 def test_real_star_disc_matches_grid_oracle(points):
-    r = real_star_disc(points)
+    r = float(real_star_disc(points))
     want_closed, want_half = oracle_real_star([float(p) for p in points])
-    assert math.isclose(float(r.closed), want_closed, abs_tol=1e-9)
-    assert math.isclose(float(r.half_open), want_half, abs_tol=1e-9)
+    assert math.isclose(r, want_closed, abs_tol=1e-9)
+    assert math.isclose(r, want_half, abs_tol=1e-9)
 
 
 # ------------------------------------------------------------- hit checks

@@ -194,6 +194,7 @@ def test_w_sum_validation():
     with pytest.raises(InvalidGeneratorError) as exc:
         w_sum(7, 1, 1, 2, 4)  # order of 2 mod 7 is 3, not 4
     assert exc.value.order == 3
+    assert "not 4" in str(exc.value)
 
 
 def test_w_sum_matches_direct_evaluation():
@@ -262,7 +263,7 @@ def test_erdos_turan_min_is_min_of_bounds():
 def test_erdos_turan_dominates_star_discrepancy_spot():
     sigma = psi(31, 7)
     points = [Fraction(v, 31) for v in sigma.image]
-    disc = float(real_star_disc(points).half_open)
+    disc = float(real_star_disc(points))
     for k_max in (1, 4, 16, 31):
         assert disc <= erdos_turan_bound([float(p) for p in points], k_max)
 

@@ -99,6 +99,7 @@ def test_rho_rejects_non_generator():
     with pytest.raises(InvalidGeneratorError) as exc:
         rho_exp(7, 1, 2)  # order of 2 mod 7 is 3
     assert exc.value.order == 3
+    assert "not 6" in str(exc.value)   # a primitive root has order p - 1
     with pytest.raises(NotAUnitError):
         rho_exp(7, 0, 3)
     with pytest.raises(NotAUnitError):

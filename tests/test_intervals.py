@@ -31,7 +31,7 @@ def test_indicator_matches_members():
         ind = iv.indicator()
         assert ind.dtype == np.int64
         assert ind.sum() == iv.length
-        assert set(np.nonzero(ind)[0].tolist()) == iv.as_set()
+        assert set(np.nonzero(ind)[0].tolist()) == frozenset(iv.members())
 
 
 def test_validation():
@@ -50,7 +50,7 @@ def test_validation():
 def test_all_intervals_count_and_uniqueness():
     # n(n-1) proper intervals plus the full circle exactly once
     for n in (1, 2, 3, 8, 13):
-        sets = [iv.as_set() for iv in all_intervals(n)]
+        sets = [frozenset(iv.members()) for iv in all_intervals(n)]
         assert len(sets) == n * (n - 1) + 1
         assert len(set(sets)) == len(sets)
         assert frozenset(range(n)) in sets

@@ -14,11 +14,11 @@ from qrperm import (
     QuadraticIrrational,
     SizeRefusedError,
     a_set,
-    b_of_k,
     b_sequence,
     d_exact,
     d_star,
     discrelation_holds,
+    frac_compare,
     frac_float,
     gap_check,
     golden,
@@ -33,6 +33,8 @@ from qrperm import (
     sqrt_irr,
 )
 from qrperm import ranksets
+
+from conftest import b_of_k
 
 
 def _oracle_b(sigma, k: int) -> int:
@@ -84,14 +86,11 @@ def test_a_set_identity_and_reversal():
     assert ranks.values == tuple(range(1, 9))
     assert ranks.max_gap == 1 and ranks.count == 8
     assert ranks.widest_empty is None
-    assert ranks.contains_in_every_window(1)
 
     ranks = a_set(reversal_perm(8))
     assert ranks.values == (1,)
     assert ranks.max_gap == 8  # from 1 up to the sentinel 9
     assert ranks.widest_empty == (2, 8)
-    assert not ranks.contains_in_every_window(7)
-    assert ranks.contains_in_every_window(8)
 
 
 def test_a_set_deduplicates_and_sorts():
@@ -143,7 +142,7 @@ def _oracle_prefix_star_float(alpha, n):
     best, best_s, final = -1.0, 1, 0.0
     for s in range(1, n + 1):
         points = [frac_float(alpha, q) for q in range(1, s + 1)]
-        here = float(real_star_disc(points).half_open)
+        here = float(real_star_disc(points))
         if here > best:
             best, best_s = here, s
         if s == n:
@@ -173,7 +172,7 @@ def test_prefix_star_nums_matches_oracle_with_ties():
         for s in range(1, len(r) + 1):
             points = [Fraction(v, den) for v in r[:s]]
             assert Fraction(int(nums[s - 1]), den) == \
-                Fraction(real_star_disc(points).half_open)
+                Fraction(real_star_disc(points))
 
 
 def test_max_prefix_star_matches_oracle_rational():
@@ -185,8 +184,7 @@ def test_max_prefix_star_matches_oracle_rational():
         for s in range(1, n + 1):
             points = [Fraction(alpha.numerator * q % alpha.denominator,
                                alpha.denominator) for q in range(1, s + 1)]
-            r = real_star_disc(points)
-            here = max(Fraction(r.closed), Fraction(r.half_open))
+            here = Fraction(real_star_disc(points))
             if here > best:
                 best, best_s = here, s
             if s == n:
@@ -310,10 +308,10 @@ def test_max_prefix_star_box_attains_value():
         s = ps.argmax_s
         assert 1 <= q <= s and 0 <= count <= s
         inside = sum(1 for p in range(1, s + 1)
-                     if ranksets.frac_compare(alpha, p, q) < 0)
+                     if frac_compare(alpha, p, q) < 0)
         assert count in (inside, inside + sum(
             1 for p in range(1, s + 1)
-            if ranksets.frac_compare(alpha, p, q) == 0))
+            if frac_compare(alpha, p, q) == 0))
         if isinstance(alpha, Fraction):
             x = Fraction(alpha.numerator * q % alpha.denominator,
                          alpha.denominator)

@@ -125,6 +125,32 @@ def test_scan_sos_rejects_bad_points_before_any_work(monkeypatch):
         scan_sos(["golden"], [-5])
 
 
+def test_pooled_scans_call_pool_map_once(monkeypatch):
+    # the benchmark's tracer wraps scan._pool_map by name: every pooled
+    # scan sends all its points through one call, (fn, points, workers)
+    # positional, and its records come from the list that call returns
+    import qrperm.scan as scan_mod
+    cases = [(scan_psi, (5, 31), scan_mod._psi_prime),
+             (scan_gauss, (5, 13, (1, 2)), scan_mod._gauss_prime),
+             (scan_sos, (["golden", "sqrt:2"], [16, 32]),
+              scan_mod._sos_point)]
+    wants = [scan(*args, workers=2) for scan, args, _ in cases]
+    real, calls = scan_mod._pool_map, []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scan_mod, "_pool_map", recording)
+    for (scan, args, fn), want in zip(cases, wants):
+        calls.clear()
+        assert scan(*args, workers=2) == want
+        assert len(calls) == 1
+        (got_fn, points, workers), kwargs = calls[0]
+        assert got_fn is fn and workers == 2 and not kwargs
+        assert isinstance(points, list) and len(points) > 1
+
+
 def test_scan_gauss_recomputes_from_power_sums():
     records = scan_gauss(13, 13, a_values=(1, 2))
     ks = [k for k in range(2, 12) if math.gcd(k, 12) == 1]
