@@ -11,7 +11,7 @@ from .cfrac import (AverageCheck, ContinuedFraction, ZarembaResult,
                     continuant, convergents, zaremba_search)
 from .discrepancy import (DiscrepancyReport, build_report, d_exact, d_star,
                           min_hitting_length, real_star_disc,
-                          set_discrepancy, verify_interval_hits)
+                          verify_interval_hits)
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
                      InvalidModulusError, NotAPermutationError,
                      NotAUnitError, QrpermError, SizeRefusedError)

@@ -28,7 +28,11 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     vector operations.  The sweep only needs
                     |F| + n < 2^31, that is n <= 92679, so above 46340
                     the first rows are built in int64 and cast to int32.
-                    O(n^2) time, O(n) memory.
+                    O(n^2) time, O(n) memory.  The sweep is one kernel,
+                    _d_star_many(images, n), which steps the runs of K
+                    permutations together; d_star is its K = 1 call.
+                    The psi scan passes max(1, 4096 // (p + 1)) pair
+                    representatives psi_k per call, 16 at p = 251.
     d_exact(sigma)  max over all cyclic interval pairs.  For I = [i,j)
                     and J = [c,d) the signed deviation is
                     F(j,d) - F(i,d) - F(j,c) + F(i,c), so the best J for
@@ -61,27 +65,27 @@ D_EXACT_CAP = 512
 _SEGMENTS = 32
 
 
-def set_discrepancy(s_set, t_set, n: int) -> Fraction:
-    """| |S cap T| - |S|*|T|/n | for arbitrary subsets of Z_n."""
-    s = frozenset(s_set)
-    t = frozenset(t_set)
-    for x in s | t:
-        if not 0 <= x < n:
-            raise QrpermError(f"element {x} outside Z_{n}")
-    return Fraction(abs(n * len(s & t) - len(s) * len(t)), n)
+def _inverses(images: np.ndarray) -> np.ndarray:
+    """The row-wise inverses of a (K, n) array of permutation images."""
+    inv = np.empty_like(images)
+    np.put_along_axis(inv, images, np.arange(images.shape[1]), axis=1)
+    return inv
 
 
-def _deviation_rows(sigma: Permutation, starts) -> np.ndarray:
-    """The rows F(a, .) for each a in starts, shape (len(starts), n + 1),
-    in closed form: F(a, b) = n*#{v < b : sigma^-1(v) < a} - a*b, one
-    comparison of sigma^-1 against the starts and one cumsum along b."""
-    n = sigma.n
+def _deviation_rows(inv: np.ndarray, starts) -> np.ndarray:
+    """The rows F(a, .) for each a in starts, for each of the K inverses
+    in the (K, n) array inv: shape (K, len(starts), n + 1), in closed
+    form F(a, b) = n*#{v < b : sigma^-1(v) < a} - a*b, one comparison of
+    sigma^-1 against the starts and one cumsum along b."""
+    k, n = inv.shape
     dtype = np.int32 if n * n < 2**31 else np.int64
-    inv = np.empty(n, dtype=dtype)
-    inv[list(sigma.image)] = np.arange(n, dtype=dtype)
     a_col = np.asarray(starts, dtype=dtype)[:, None]
-    f = np.zeros((len(a_col), n + 1), dtype=dtype)
-    np.cumsum(inv < a_col, axis=1, dtype=dtype, out=f[:, 1:])
+    f = np.zeros((k, len(a_col), n + 1), dtype=dtype)
+    counts = f[:, :, 1:]
+    # compare straight into the rows: a cumsum that casts bool as it goes
+    # takes up to twice as long
+    np.less(inv.astype(dtype, copy=False)[:, None, :], a_col, out=counts)
+    np.cumsum(counts, axis=2, out=counts)
     f *= n
     f -= a_col * np.arange(n + 1, dtype=dtype)
     return f
@@ -95,22 +99,22 @@ def _run_starts(n: int) -> tuple[int, np.ndarray]:
     return span, np.minimum(np.arange(0, n, span), n - span)
 
 
-def d_star(sigma: Permutation) -> Fraction:
-    """Initial-interval discrepancy max |F|, exact.
+def _d_star_many(images: np.ndarray, n: int) -> np.ndarray:
+    """max |F| of each row of a (K, n) array of permutation images, as
+    int64: the D* kernel, count scale.
 
-    Rows 0..n-1 are cut into runs of span = ceil(n / _SEGMENTS) rows (row
-    n is zero).  The last run starts at n - span and may overlap the one
-    before it; rows seen twice do not change a max.  Each run's first row
-    comes from _deviation_rows, and then all runs step forward together
-    by F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b, so the Python loop runs
-    span - 1 times over whole-row vector operations.  The row
-    b -> n*[b > v] is the window at n - v of one array of length 2n + 1.
-    The sweep is int32 while |F| + n <= n^2/4 + n < 2^31 (n <= 92679),
-    also where the closed-form rows need int64.
+    Rows 0..n-1 of each F are cut into runs of span = ceil(n / _SEGMENTS)
+    rows (row n is zero).  The last run starts at n - span and may
+    overlap the one before it; rows seen twice do not change a max.  Each
+    run's first row comes from _deviation_rows, and then all K * _SEGMENTS
+    runs step forward together by F(a+1, b) = F(a, b) + n*[b > sigma(a)]
+    - b, so the Python loop runs span - 1 times over whole-block vector
+    operations.  The row b -> n*[b > v] is the window at n - v of one
+    array of length 2n + 1.  The sweep is int32 while |F| + n <= n^2/4 +
+    n < 2^31 (n <= 92679), also where the closed-form rows need int64.
     """
-    n = sigma.n
     span, starts = _run_starts(n)
-    f = _deviation_rows(sigma, starts)
+    f = _deviation_rows(_inverses(images), starts)
     if f.dtype != np.int32 and n * n // 4 + n < 2**31:
         f = f.astype(np.int32)  # the sweep needs only |F| + n < 2^31
     b_row = np.arange(n + 1, dtype=f.dtype)
@@ -119,14 +123,24 @@ def d_star(sigma: Permutation) -> Fraction:
     # fancy indexing gathers only the rows it needs; np.take would first
     # copy the whole (n+1)^2 view
     step_rows = sliding_window_view(steps, n + 1)
-    shift = n - np.asarray(sigma.image)
-    hi, lo = int(f.max()), int(f.min())
-    for t in range(span - 1):  # row starts + t becomes starts + t + 1
-        f += step_rows[shift[starts + t]]
+    # shifts[t] = n - sigma(starts + t) for every permutation and run
+    shifts = (n - images[:, starts + np.arange(span - 1)[:, None]]
+              ).transpose(1, 0, 2)
+    his, los = [f.max(axis=(1, 2))], [f.min(axis=(1, 2))]
+    for shift in shifts:  # row starts + t becomes starts + t + 1
+        f += step_rows[shift]
         f -= b_row
-        hi = max(hi, int(f.max()))
-        lo = min(lo, int(f.min()))
-    return Fraction(max(hi, -lo), n)
+        his.append(f.max(axis=(1, 2)))
+        los.append(f.min(axis=(1, 2)))
+    hi, lo = np.max(his, axis=0), np.min(los, axis=0)
+    return np.maximum(hi, -lo).astype(np.int64)
+
+
+def d_star(sigma: Permutation) -> Fraction:
+    """Initial-interval discrepancy max |F| / n, exact: the K = 1 call of
+    the kernel _d_star_many."""
+    images = np.asarray(sigma.image)[None, :]
+    return Fraction(int(_d_star_many(images, sigma.n)[0]), sigma.n)
 
 
 def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
@@ -137,7 +151,8 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
         raise SizeRefusedError(
             f"d_exact is cubic; n = {n} exceeds cap {cap}")
     # F's dtype holds ptp: |F_j - F_i| <= n^2/2, so ptp <= n^2
-    f = _deviation_rows(sigma, np.arange(n + 1))
+    images = np.asarray(sigma.image)[None, :]
+    f = _deviation_rows(_inverses(images), np.arange(n + 1))[0]
     diff = np.empty_like(f)  # reused: fresh MB-sized temporaries page-fault
     best = 0
     for j in range(1, n + 1):

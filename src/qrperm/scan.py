@@ -31,10 +31,10 @@ import numpy as np
 
 from .cfrac import (_convergent_stream, _parse_bound, _quotient_stream,
                     cf_of_quadratic, cf_of_rational, zaremba_search)
-from .discrepancy import d_star
+from .discrepancy import _d_star_many, d_star
 from .errors import QrpermError
 from .expsums import _walks
-from .families import psi, sos_perm
+from .families import sos_perm
 from .modular import is_prime
 from .quadirr import QuadraticIrrational, parse_alpha
 from .ranksets import a_set, discrelation_holds, gap_check, max_prefix_star
@@ -101,16 +101,34 @@ def _scan(fn, points, workers: int) -> list[ScanRecord]:
 
 # ---------------------------------------------------------------- psi scan
 
+# the psi scan hands the D* kernel max(1, 4096 // (p + 1)) rows per call
+# (16 at p = 251, 8 at p = 499), so its (K, 32, p + 1) int32 block stays
+# near 512 KB, inside L2
+_PSI_BLOCK_CELLS = 4096
+
+
+def _psi_devs(p: int) -> list[int]:
+    """p * D*(psi_k) at index k - 1, for k = 1..p-1.  Only the pair
+    representatives k <= k^-1 go to the kernel; each value serves both
+    members of its pair."""
+    devs = [0] * (p - 1)
+    inverse = {k: pow(k, -1, p) for k in range(1, p)}
+    reps = [k for k, inv in inverse.items() if inv >= k]
+    chunk = max(1, _PSI_BLOCK_CELLS // (p + 1))
+    s = np.arange(p)
+    for i in range(0, len(reps), chunk):
+        ks = reps[i:i + chunk]
+        images = np.array(ks)[:, None] * s % p    # psi_k, a bijection
+        for k, dev in zip(ks, _d_star_many(images, p).tolist()):
+            devs[k - 1] = devs[inverse[k] - 1] = dev
+    return devs
+
+
 def _psi_prime(p: int) -> list[ScanRecord]:
-    vals: list[Fraction] = [Fraction(0)] * (p - 1)   # D*(psi_k) at k - 1
-    for k in range(1, p):
-        inv = pow(k, -1, p)
-        if inv >= k:    # else the pair was filled at k = inv
-            vals[k - 1] = vals[inv - 1] = d_star(psi(p, k))
-    total = sum(vals, Fraction(0))
-    mean = total / (p - 1)
-    best = min(vals)
-    argmin = 1 + vals.index(best)   # smallest k on ties
+    devs = _psi_devs(p)
+    mean = Fraction(sum(devs), p * (p - 1))
+    best = Fraction(min(devs), p)
+    argmin = 1 + devs.index(min(devs))   # smallest k on ties
     lnp = math.log(p)
     cf = cf_of_rational(argmin, p)
     quots = cf.quotients
@@ -136,10 +154,13 @@ def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
     D*(psi_k), with log-power normalizations in both bases, and the
     continued fraction shape of the minimising k/p.
 
-    One D* call serves each pair {k, k^-1}.  psi_{k^-1} is the inverse
+    One D* value serves each pair {k, k^-1}.  psi_{k^-1} is the inverse
     of psi_k, and inverting sigma transposes F(a, b) = n*|sigma([0,a))
     cap [0,b)| - a*b, so max |F| is unchanged.  Negation k -> p - k is
-    not a D* symmetry.  Primes go to the pool largest first, since the
+    not a D* symmetry.  The images k*s mod p of the representatives
+    k <= k^-1 are built directly, with no Permutation, and the D* kernel
+    sweeps K = max(1, 4096 // (p + 1)) of them per call (16 at p = 251,
+    8 at p = 499).  Primes go to the pool largest first, since the
     cost per prime grows like p^3."""
     points = [p for p in range(pmax, max(pmin, 3) - 1, -1) if is_prime(p)]
     return _scan(_psi_prime, points, workers)

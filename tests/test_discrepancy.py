@@ -13,6 +13,7 @@ from qrperm import (
     Interval,
     QrpermError,
     SizeRefusedError,
+    bit_reversal,
     build_report,
     d_exact,
     d_star,
@@ -26,13 +27,12 @@ from qrperm import (
     real_star_disc,
     reversal_perm,
     rho_exp,
-    set_discrepancy,
     sos_perm,
     sqrt_irr,
     verify_interval_hits,
 )
-from qrperm import discrepancy
-from qrperm.discrepancy import _deviation_rows
+from qrperm import discrepancy, scan
+from qrperm.discrepancy import _d_star_many, _deviation_rows
 from qrperm.families import Permutation
 
 from conftest import (
@@ -42,16 +42,6 @@ from conftest import (
     oracle_d_star_cubic,
     oracle_real_star,
 )
-
-
-# --------------------------------------------------------------- set form
-
-def test_set_discrepancy_examples():
-    assert set_discrepancy({0, 1}, {0, 2}, 4) == Fraction(0)
-    assert set_discrepancy({0}, {1}, 2) == Fraction(1, 2)
-    assert set_discrepancy({0, 1, 2}, {0, 1, 2}, 3) == Fraction(0)
-    with pytest.raises(QrpermError, match="outside"):
-        set_discrepancy({0, 5}, {1}, 4)
 
 
 # ----------------------------------------------------------------- d_star
@@ -97,6 +87,62 @@ def test_d_star_matches_oracle_random(n, seed):
     assert d_star(sigma) == oracle_d_star(sigma)
 
 
+def _mixed_batch(n):
+    """Random, psi, bit-reversal, Sos, identity and reversal rows of
+    length n: extreme and typical D* side by side in one kernel call."""
+    batch = [random_perm(n, seed) for seed in range(4)]
+    batch += [psi(n, k) for k in (1, 2, 3, 5, n - 1)
+              if k < n and math.gcd(k, n) == 1]
+    if n & (n - 1) == 0:
+        batch.append(bit_reversal(n))
+    batch += [sos_perm(n, golden()), sos_perm(n, sqrt_irr(2)),
+              identity_perm(n), reversal_perm(n)]
+    return batch
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 101])
+def test_d_star_many_matches_d_star_on_mixed_batches(n):
+    # one-row runs below 32, full runs at 32, an overlapping last run at
+    # 33 and 101; every prefix of the batch is a batch too
+    batch = _mixed_batch(n)
+    images = np.array([sigma.image for sigma in batch])
+    want = [d_star(sigma) for sigma in batch]
+    for k in (1, 2, len(batch)):
+        got = _d_star_many(images[:k], n)
+        assert got.dtype == np.int64
+        assert [Fraction(int(v), n) for v in got] == want[:k]
+    if n <= 12:
+        assert want == [oracle_d_star_cubic(sigma) for sigma in batch]
+    else:
+        assert want == [oracle_d_star(sigma) for sigma in batch]
+
+
+@pytest.mark.parametrize("p", [101, 251])
+def test_psi_scan_kernel_rows_and_chunks(p, monkeypatch):
+    # the rows the psi scan hands the kernel are psi_k's images, one per
+    # pair representative k <= k^-1, in chunks of 4096 // (p + 1)
+    seen = []
+    kernel = scan._d_star_many
+
+    def spy(images, n):
+        seen.append(images.copy())
+        return kernel(images, n)
+
+    monkeypatch.setattr(scan, "_d_star_many", spy)
+    devs = scan._psi_devs(p)
+    reps = [k for k in range(1, p) if pow(k, -1, p) >= k]
+    assert [len(rows) for rows in seen[:-1]] == [4096 // (p + 1)] * (
+        len(seen) - 1)
+    rows = np.concatenate(seen)
+    assert rows.tolist() == [list(psi(p, k).image) for k in reps]
+    assert devs == [p * d_star(psi(p, k)) for k in range(1, p)]
+    # chunks of 1, 3 and 7 cut the pair list elsewhere, also mid-list;
+    # every value stays as it was
+    for chunk in (1, 3, 7):
+        monkeypatch.setattr(scan, "_PSI_BLOCK_CELLS", chunk * (p + 1))
+        assert scan._psi_devs(p) == devs
+
+
 # ----------------------------------------------------------------- d_exact
 
 def test_d_exact_frozen_values():
@@ -135,7 +181,8 @@ def test_size_cap_refusal():
 def test_deviation_rows_dtype_boundary():
     # n^2 < 2^31 exactly up to n = 46340
     for n, dtype in ((46340, np.int32), (46341, np.int64)):
-        assert _deviation_rows(identity_perm(n), np.arange(1)).dtype == dtype
+        inv = np.arange(n)[None, :]
+        assert _deviation_rows(inv, np.arange(1)).dtype == dtype
 
 
 def test_d_star_int32_sweep_past_the_row_boundary(monkeypatch):

@@ -62,9 +62,15 @@ def test_euler_phi_examples():
 
 
 def test_phi_divisor_sum_identity():
-    # sum of phi(d) over divisors d of n equals n
+    # sum of phi(d) over divisors d of n equals n; the divisors come in
+    # pairs (d, n/d) with d <= sqrt(n), one divisor when d = n/d
     for n in range(1, 10_001):
-        total = sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0)
+        total = 0
+        for d in range(1, math.isqrt(n) + 1):
+            if n % d == 0:
+                total += euler_phi(d)
+                if d * d != n:
+                    total += euler_phi(n // d)
         assert total == n
 
 
