@@ -15,7 +15,7 @@ from .discrepancy import (DiscrepancyReport, build_report, d_exact, d_star,
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
                      InvalidModulusError, NotAPermutationError,
                      NotAUnitError, QrpermError, SizeRefusedError)
-from .expsums import (CompletionReport, SumValue, completion_check, e,
+from .expsums import (CompletionReport, SumValue, completion_check,
                       erdos_turan_bound, erdos_turan_min, gauss_power_sum,
                       incomplete_sigma_sum, interval_fourier, kloosterman,
                       max_incomplete_sum, twisted_full_sum, w_sum, weyl_sum)

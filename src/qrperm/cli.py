@@ -32,8 +32,8 @@ from .modular import find_primitive_root
 from .qrstats import property_profile
 from .quadirr import frac_float, parse_alpha
 from .ranksets import b_sequence
-from .scan import (emit, scan_gauss, scan_obryant, scan_psi, scan_sos,
-                   scan_zaremba, timed, write_plot_data)
+from .scan import (emit, plot_rows, scan_gauss, scan_obryant, scan_psi,
+                   scan_sos, scan_zaremba, timed, write_plot_data)
 
 FAMILIES = ("psi", "lambda", "eta", "rho", "sos", "bitrev",
             "identity", "reversal", "random")
@@ -162,6 +162,8 @@ def _echo(cfg: RunConfig, *names: str) -> dict:
 def _finish_scan(cfg: RunConfig, records, default_base: str,
                  echo: dict, ms: float) -> int:
     base = cfg.base or default_base
+    if cfg.plot:
+        plot_rows(records, cfg.plot)    # a bad --plot fails before emit
     res = emit(records, cfg.out, base, echo, wall_time_ms=ms)
     print(f"{res.rows} rows -> {res.csv_path}")
     print(f"summary  -> {res.summary_path}")
@@ -223,14 +225,14 @@ def cmd_obryant(cfg: RunConfig) -> int:
     size = by_stat[("aset_size", (("alpha", cfg.alpha),))]
     gap = by_stat[("max_gap", (("alpha", cfg.alpha),))]
     print(f"alpha={cfg.alpha} limit={cfg.limit}")
-    print(f"|A| = {size.value_num}  (|A|/sqrt(n/ln n) = "
+    print(f"|A| = {size.value}  (|A|/sqrt(n/ln n) = "
           f"{size.normalized:.4f})")
-    print(f"max gap = {gap.value_num}  (vs sqrt(32 n D) bound: "
+    print(f"max gap = {gap.value}  (vs sqrt(32 n D) bound: "
           f"{gap.normalized:.4f} of allowance)")
     for t in targets:
         r = by_stat[("target_hit",
                      (("alpha", cfg.alpha), ("target", str(t))))]
-        print(f"target {t}: {'hit' if r.value_num else 'missing'}")
+        print(f"target {t}: {'hit' if r.value else 'missing'}")
     if cfg.n is not None:
         # B(k) depends only on {q*alpha} for q <= k: rank the prefix only
         upto = min(cfg.n, cfg.limit)

@@ -97,7 +97,8 @@ def load_config_file(path: str) -> dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: undecodable bytes, or a NUL byte in the path
         raise QrpermError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
@@ -140,6 +141,9 @@ def resolve(command: str, cli_pairs: dict[str, Any],
     stray = set(merged) - valid
     if stray:
         raise QrpermError(f"unknown config keys: {sorted(stray)}")
+    for key, value in merged.items():
+        if isinstance(value, str) and "\0" in value:
+            raise QrpermError(f"{key} contains a NUL byte")
     if merged.get("workers", 1) < 1:
         raise QrpermError(f"workers must be >= 1, got {merged['workers']}")
     return RunConfig(**merged)

@@ -215,6 +215,11 @@ def verify_interval_hits(sigma: Permutation, d_upper):
     return None
 
 
+def _fraction_json(x: Fraction | None) -> dict | None:
+    """The JSON form of an exact value: {"num", "den"}, or None."""
+    return None if x is None else {"num": x.numerator, "den": x.denominator}
+
+
 @dataclass(frozen=True)
 class DiscrepancyReport:
     n: int
@@ -228,18 +233,15 @@ class DiscrepancyReport:
     ratio_sqrt_log: float | None
 
     def to_json(self) -> str:
-        def frac(x):
-            return None if x is None else {"num": x.numerator,
-                                           "den": x.denominator}
         return json.dumps({
             "n": self.n,
             "family": self.family,
             "params": dict(self.params),
-            "d_star": frac(self.d_star),
-            "d_exact": frac(self.d_exact),
-            "d_zero": frac(self.d_exact),   # the same quantity
-            "d_lower": frac(self.d_star),
-            "d_upper": frac(self.d_upper),
+            "d_star": _fraction_json(self.d_star),
+            "d_exact": _fraction_json(self.d_exact),
+            "d_zero": _fraction_json(self.d_exact),   # the same quantity
+            "d_lower": _fraction_json(self.d_star),
+            "d_upper": _fraction_json(self.d_upper),
             "d_star_float": float(self.d_star),
             "d_upper_float": float(self.d_upper),
             "ratio_log2": self.ratio_log2,

@@ -34,7 +34,6 @@ max_{u<v} |P_v - P_u| <= 2 max_m |P_m| (as P_0 = 0).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,7 +53,6 @@ class SumValue:
     re: float
     im: float
     terms: int
-    kernel: str
     params: tuple[tuple[str, str], ...] = ()
 
     @property
@@ -63,11 +61,6 @@ class SumValue:
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
-
-
-def e(x: float) -> complex:
-    """exp(2*pi*i*x)."""
-    return cmath.exp(2j * math.pi * x)
 
 
 @lru_cache(maxsize=64)
@@ -122,11 +115,11 @@ def _walk_maxima(sigma: Permutation,
     return mags, ms
 
 
-def _fsum_terms(residues, n: int, terms: int, kernel: str, params) -> SumValue:
+def _fsum_terms(residues, n: int, terms: int, params) -> SumValue:
     angles = [2 * math.pi * (r % n) / n for r in residues]
     re = math.fsum(math.cos(a) for a in angles)
     im = math.fsum(math.sin(a) for a in angles)
-    return SumValue(re, im, terms, kernel, params)
+    return SumValue(re, im, terms, params)
 
 
 def weyl_sum(points, k: int) -> SumValue:
@@ -135,7 +128,7 @@ def weyl_sum(points, k: int) -> SumValue:
     pts = list(points)
     re = math.fsum(math.cos(2 * math.pi * ((k * x) % 1.0)) for x in pts)
     im = math.fsum(math.sin(2 * math.pi * ((k * x) % 1.0)) for x in pts)
-    return SumValue(re, im, len(pts), "weyl", _params(k=k))
+    return SumValue(re, im, len(pts), _params(k=k))
 
 
 def incomplete_sigma_sum(sigma: Permutation, k: int, m: int) -> SumValue:
@@ -144,24 +137,21 @@ def incomplete_sigma_sum(sigma: Permutation, k: int, m: int) -> SumValue:
     if not 1 <= m <= n:
         raise QrpermError(f"m = {m} outside [1, {n}]")
     residues = (k * sigma.image[s] for s in range(m))
-    return _fsum_terms(residues, n, m, "incomplete",
-                       _params(k=k, m=m, family=sigma.family))
+    return _fsum_terms(residues, n, m, _params(k=k, m=m, family=sigma.family))
 
 
 def twisted_full_sum(sigma: Permutation, k: int, a: int) -> SumValue:
     """sum_{s=0}^{n-1} e((k*sigma(s) + a*s)/n)."""
     n = sigma.n
     residues = (k * sigma.image[s] + a * s for s in range(n))
-    return _fsum_terms(residues, n, n, "twisted",
-                       _params(k=k, a=a, family=sigma.family))
+    return _fsum_terms(residues, n, n, _params(k=k, a=a, family=sigma.family))
 
 
 def kloosterman(p, a: int, b: int) -> SumValue:
     """K(a, b; p) = sum over s in Z_p^* of e((a*s + b*s^{-1})/p)."""
     p = as_prime(p)
     residues = (a * s + b * mod_inv(s, p) for s in range(1, p))
-    return _fsum_terms(residues, p, p - 1, "kloosterman",
-                       _params(p=p, a=a, b=b))
+    return _fsum_terms(residues, p, p - 1, _params(p=p, a=a, b=b))
 
 
 def gauss_power_sum(p, a: int, k: int, m_terms: int) -> SumValue:
@@ -176,15 +166,16 @@ def gauss_power_sum(p, a: int, k: int, m_terms: int) -> SumValue:
     if k < 1:
         raise QrpermError("exponent k must be >= 1")
     residues = (a * pow(s, k, p) for s in range(1, m_terms + 1))
-    return _fsum_terms(residues, p, m_terms, "gauss",
-                       _params(p=p, a=a, k=k, M=m_terms))
+    return _fsum_terms(residues, p, m_terms, _params(p=p, a=a, k=k, M=m_terms))
 
 
 def w_sum(p, a: int, c: int, theta: int, t: int) -> SumValue:
     """W_{a,c}(t) = sum_{k=1}^{t} |sum_{x=1}^{t} e((a*th^x + c*th^{xk})/p)|.
 
     theta must have multiplicative order exactly t.  The value is a
-    nonnegative real; it is returned in re with im = 0.
+    nonnegative real; it is returned in re with im = 0.  As theta has
+    order t, th^{xk} = th^{xk mod t}, so the residues of a block of
+    _WINDOW_ROWS values of k are one gather from the t powers of theta.
     """
     p = as_prime(p)
     if c % p == 0:
@@ -192,22 +183,21 @@ def w_sum(p, a: int, c: int, theta: int, t: int) -> SumValue:
     order = multiplicative_order(theta, p)
     if order != t:
         raise InvalidGeneratorError(theta, p, order, t)
-    roots = _roots(p)
-    pow_x = [0] * (t + 1)  # theta^x mod p, x = 0..t
-    pow_x[0] = 1
-    for x in range(1, t + 1):
-        pow_x[x] = pow_x[x - 1] * theta % p
+    powers = [1]                            # theta^j mod p, j = 0..t-1
+    for _ in range(t - 1):
+        powers.append(powers[-1] * theta % p)
+    powers = np.array(powers, dtype=np.int64)
+    x = np.arange(1, t + 1)
+    outer = (a % p) * powers[x % t]
     inner_mags = []
-    for k in range(1, t + 1):
-        base = pow(theta, k, p)
-        cur = 1
-        idx = np.empty(t, dtype=np.int64)
-        for x in range(1, t + 1):
-            cur = cur * base % p
-            idx[x - 1] = (a * pow_x[x] + c * cur) % p
-        inner_mags.append(abs(roots[idx].sum()))
+    for k0 in range(1, t + 1, _WINDOW_ROWS):
+        k = np.arange(k0, min(k0 + _WINDOW_ROWS, t + 1))
+        idx = (outer + (c % p) * powers[k[:, None] * x % t]) % p
+        # abs of each scalar: np.abs over the array rounds some last
+        # bits differently
+        inner_mags.extend(abs(z) for z in _roots(p)[idx].sum(axis=1))
     total = math.fsum(inner_mags)
-    return SumValue(total, 0.0, t * t, "w",
+    return SumValue(total, 0.0, t * t,
                     _params(p=p, a=a, c=c, theta=theta, t=t))
 
 
@@ -224,7 +214,7 @@ def interval_fourier(j_int: Interval, k: int) -> SumValue:
     if k > n // 2:
         k -= n
     residues = (-k * x for x in j_int.members())
-    return _fsum_terms(residues, n, j_int.length, "interval_fourier",
+    return _fsum_terms(residues, n, j_int.length,
                        _params(n=n, k=k, start=j_int.start,
                                length=j_int.length))
 

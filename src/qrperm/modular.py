@@ -57,7 +57,6 @@ class PrimeModulus:
     """A modulus that has passed the deterministic primality check."""
 
     p: int
-    certified: bool = True
 
     def __post_init__(self):
         if not is_prime(self.p):

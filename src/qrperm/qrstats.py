@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .discrepancy import D_EXACT_CAP, build_report
+from .discrepancy import D_EXACT_CAP, _fraction_json, build_report
 from .errors import QrpermError, SizeRefusedError
 from .expsums import _walk_maxima, _walks, _widest_window
 from .families import Permutation
@@ -241,18 +241,16 @@ class PropertyProfile:
     pattern_counts: tuple[tuple[tuple[int, ...], int], ...]
 
     def to_json(self) -> str:
-        def frac(x):
-            return {"num": x.numerator, "den": x.denominator}
         return json.dumps({
             "n": self.n,
             "family": self.family,
             "params": dict(self.params),
-            "ub": frac(self.ub),
+            "ub": _fraction_json(self.ub),
             "two_s": self.two_s,
-            "sp_max": frac(self.sp_max),
+            "sp_max": _fraction_json(self.sp_max),
             "e_alpha": self.e_alpha,
             "e_alpha_max": self.e_alpha_max,
-            "t_sum": frac(self.t_sum),
+            "t_sum": _fraction_json(self.t_sum),
             "pattern_counts": {
                 "".join(str(t) for t in tau): c
                 for tau, c in self.pattern_counts},

@@ -1,11 +1,13 @@
 """Parameter scans and their deterministic CSV/JSON emission.
 
-Every scan returns a flat list of ScanRecord rows.  Exact rational
-statistics keep their numerator/denominator; everything float-valued is
-stored as the float itself.  Emission sorts the rows by a fixed key and
-writes the timing column as 0, so a scan re-run with a different worker
-count produces a byte-identical CSV body (the measured wall time goes
-into the JSON summary instead, where nobody diffs it).
+Every scan returns a flat list of ScanRecord rows.  A record's value
+is a Fraction when the statistic is exact and a float when it is
+inherently float-valued; the CSV writes a Fraction as its numerator
+and denominator and a float as its repr.  Emission sorts the rows by a
+fixed key and writes the timing column as 0, so a scan re-run with a
+different worker count produces a byte-identical CSV body (the
+measured wall time goes into the JSON summary instead, where nobody
+diffs it).
 
 Workers: the point lists are embarrassingly parallel, so scans fan out
 over a fork pool when workers > 1 and run inline otherwise.  Worker
@@ -34,7 +36,7 @@ from .cfrac import (_convergent_stream, _parse_bound, _quotient_stream,
 from .discrepancy import _d_star_many, d_star
 from .errors import QrpermError
 from .expsums import _walks
-from .families import sos_perm
+from .families import _params, sos_perm
 from .modular import is_prime
 from .quadirr import QuadraticIrrational, parse_alpha
 from .ranksets import a_set, discrelation_holds, gap_check, max_prefix_star
@@ -50,31 +52,20 @@ class ScanRecord:
     n_or_p: int
     params: tuple[tuple[str, str], ...]
     statistic: str
-    value_num: int | None       # exact value = num/den when den is set
-    value_den: int | None
-    value_float: float | None   # used when the value is inherently float
+    value: Fraction | float     # a Fraction exactly when the value is exact
     normalized: float | None
 
 
-def rec_q(family: str, n: int, params, stat: str, value,
+def rec_q(family: str, n: int, params: dict, stat: str, value,
           normalized: float | None = None) -> ScanRecord:
-    f = Fraction(value)
-    return ScanRecord(family, n, _canon_params(params), stat,
-                      f.numerator, f.denominator, None, normalized)
+    return ScanRecord(family, n, _params(**params), stat, Fraction(value),
+                      normalized)
 
 
-def rec_f(family: str, n: int, params, stat: str, value: float,
+def rec_f(family: str, n: int, params: dict, stat: str, value: float,
           normalized: float | None = None) -> ScanRecord:
-    return ScanRecord(family, n, _canon_params(params), stat,
-                      None, None, float(value), normalized)
-
-
-def _canon_params(params) -> tuple[tuple[str, str], ...]:
-    if not params:
-        return ()
-    if isinstance(params, dict):
-        params = params.items()
-    return tuple(sorted((str(k), str(v)) for k, v in params))
+    return ScanRecord(family, n, _params(**params), stat, float(value),
+                      normalized)
 
 
 def _params_str(params: tuple[tuple[str, str], ...]) -> str:
@@ -133,9 +124,9 @@ def _psi_prime(p: int) -> list[ScanRecord]:
     cf = cf_of_rational(argmin, p)
     quots = cf.quotients
     out = [
-        rec_q("psi-scan", p, (), "mean_dstar", mean,
+        rec_q("psi-scan", p, {}, "mean_dstar", mean,
               float(mean) / lnp**2),
-        rec_q("psi-scan", p, (), "mean_dstar_log2sq", mean,
+        rec_q("psi-scan", p, {}, "mean_dstar_log2sq", mean,
               float(mean) / math.log2(p)**2),
         rec_q("psi-scan", p, {"k": argmin}, "min_dstar", best,
               float(best) / lnp),
@@ -340,10 +331,10 @@ def _fmt_float(x: float) -> str:
 def csv_rows(records: list[ScanRecord]) -> list[str]:
     rows = [",".join(CSV_COLUMNS)]
     for r in sorted(records, key=_sort_key):
-        if r.value_den is not None:
-            vnum, vden = str(r.value_num), str(r.value_den)
+        if isinstance(r.value, Fraction):
+            vnum, vden = str(r.value.numerator), str(r.value.denominator)
         else:
-            vnum, vden = "", _fmt_float(r.value_float)
+            vnum, vden = "", _fmt_float(r.value)
         norm = _fmt_float(r.normalized) if r.normalized is not None else ""
         rows.append(",".join((r.family, str(r.n_or_p),
                               _params_str(r.params), r.statistic,
@@ -358,11 +349,13 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
     The CSV body (header + data rows, not the leading config comment) is
     what the summary's sha256 covers; the comment line is excluded
     because it echoes knobs like the worker count that must not perturb
-    the digest.  Both files are written in full to a temporary directory
-    in out_dir and only then renamed into place, so a failure while
-    writing leaves an existing pair as it was.  A kill between the two
-    renames pairs the new CSV with the old summary; the summary's
-    csv_body_sha256 then disagrees with the CSV body.
+    the digest.  The summary's statistics block gives the count, min,
+    max and mean of float(value) for each statistic, exact or not; the
+    exact values are in the CSV only.  Both files are written in full to
+    a temporary directory in out_dir and only then renamed into place,
+    so a failure while writing leaves an existing pair as it was.  A
+    kill between the two renames pairs the new CSV with the old summary;
+    the summary's csv_body_sha256 then disagrees with the CSV body.
     """
     os.makedirs(out_dir, exist_ok=True)
     seen = set()
@@ -379,9 +372,7 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
 
     per_stat: dict[str, list[float]] = {}
     for r in records:
-        v = r.value_float if r.value_float is not None else (
-            r.value_num / r.value_den)
-        per_stat.setdefault(r.statistic, []).append(float(v))
+        per_stat.setdefault(r.statistic, []).append(float(r.value))
     from . import __version__
     summary = {
         "version": __version__,
@@ -412,26 +403,28 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
     return EmitResult(csv_path, summary_path, digest, len(records))
 
 
-def write_plot_data(records: list[ScanRecord], path: str,
-                    statistic: str) -> int:
-    """Tidy (x, y, series) rows for one statistic, ready for gnuplot or
-    a notebook; y is the normalized column when present.  Raises
-    QrpermError, and writes no file, when no record carries the
+def plot_rows(records: list[ScanRecord], statistic: str) -> list[str]:
+    """Tidy (x, y, series) rows for one statistic, header first, ready
+    for gnuplot or a notebook; y is the normalized column when present,
+    else the value.  Raises QrpermError when no record carries the
     statistic."""
     rows = ["x,y,series"]
     for r in sorted(records, key=_sort_key):
         if r.statistic != statistic:
             continue
-        if r.normalized is not None:
-            y = _fmt_float(r.normalized)
-        elif r.value_float is not None:
-            y = _fmt_float(r.value_float)
-        else:
-            y = _fmt_float(r.value_num / r.value_den)
+        y = _fmt_float(r.value if r.normalized is None else r.normalized)
         series = _params_str(r.params) or r.family
         rows.append(f"{r.n_or_p},{y},{series}")
     if len(rows) == 1:
         raise QrpermError(f"no rows carry statistic {statistic!r}")
+    return rows
+
+
+def write_plot_data(records: list[ScanRecord], path: str,
+                    statistic: str) -> int:
+    """Write plot_rows(records, statistic) to path and return the number
+    of data rows; writes no file when plot_rows raises."""
+    rows = plot_rows(records, statistic)
     with open(path, "w") as fh:
         fh.write("\n".join(rows) + "\n")
     return len(rows) - 1

@@ -208,6 +208,36 @@ def test_w_sum_matches_direct_evaluation():
     assert_close(w_sum(p, a, c, theta, t).re, want)
 
 
+def _w_sum_loop(p, a, c, theta, t):
+    """W_{a,c}(t) by the double loop over k and x: one gather per k."""
+    roots = np.exp(2j * np.pi * np.arange(p) / p)
+    pow_x = [pow(theta, x, p) for x in range(t + 1)]
+    inner_mags = []
+    for k in range(1, t + 1):
+        base = pow(theta, k, p)
+        cur = 1
+        idx = np.empty(t, dtype=np.int64)
+        for x in range(1, t + 1):
+            cur = cur * base % p
+            idx[x - 1] = (a * pow_x[x] + c * cur) % p
+        inner_mags.append(abs(roots[idx].sum()))
+    return math.fsum(inner_mags)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 61, 127, 131, 263, 509])
+def test_w_sum_equals_the_double_loop(p):
+    # primitive theta (t = p - 1) and every proper order t > 1 that
+    # divides p - 1, up to three of them; block edges at t = 64, 65
+    g = find_primitive_root(p)
+    ts = [p - 1] + [t for t in range(2, p - 1) if (p - 1) % t == 0][-3:]
+    for t in ts:
+        theta = pow(g, (p - 1) // t, p)
+        for a, c in ((1, 1), (0, 3), (-2, p + 2), (p * 7 + 1, -1)):
+            got = w_sum(p, a, c, theta, t)
+            assert got.re == _w_sum_loop(p, a, c, theta, t), (p, t, a, c)
+            assert got.terms == t * t
+
+
 # --------------------------------------------------------------- interval
 
 def test_interval_fourier_matches_direct():

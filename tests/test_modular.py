@@ -126,7 +126,7 @@ def test_order_rejects_zero():
 
 def test_prime_modulus_validates():
     pm = PrimeModulus(101)
-    assert pm.certified
+    assert int(pm) == 101
     with pytest.raises(QrpermError):
         PrimeModulus(100)
     assert as_prime(pm) == 101

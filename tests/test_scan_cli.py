@@ -67,18 +67,18 @@ def test_scan_psi_values_recompute(p):
     dstars = [d_star(psi(p, k)) for k in range(1, p)]
     mean = sum(dstars, Fraction(0)) / (p - 1)
     r = by_stat["mean_dstar"]
-    assert Fraction(r.value_num, r.value_den) == mean
+    assert r.value == mean
     assert r.normalized == pytest.approx(float(mean) / math.log(p) ** 2,
                                          rel=1e-12)
     r = by_stat["min_dstar"]
-    assert Fraction(r.value_num, r.value_den) == min(dstars)
+    assert r.value == min(dstars)
     argmin = 1 + dstars.index(min(dstars))
     assert dict(r.params)["k"] == str(argmin)
 
 
 def test_scan_psi_normalizers():
     for r in scan_psi(5, 19):
-        value = r.value_num / r.value_den
+        value = float(r.value)
         p = r.n_or_p
         expected = {
             "mean_dstar": math.log(p) ** 2,
@@ -108,7 +108,7 @@ def test_scan_sos_worker_counts_and_schema():
     for r in records:
         if r.statistic == "dstar" and dict(r.params)["alpha"] == "sqrt:2":
             want = d_star(sos_perm(r.n_or_p, sqrt_irr(2)))
-            assert Fraction(r.value_num, r.value_den) == want
+            assert r.value == want
 
 
 def test_scan_sos_rejects_bad_points_before_any_work(monkeypatch):
@@ -161,18 +161,18 @@ def test_scan_gauss_recomputes_from_power_sums():
                     if dict(r.params) == {"k": str(k), "a": str(a)}}
             sweep = [gauss_power_sum(13, a, k, m).magnitude
                      for m in range(1, 14)]
-            assert abs(rows["max_incomplete"].value_float
+            assert abs(rows["max_incomplete"].value
                        - max(sweep)) < 1e-9
-            m_star = int(rows["argmax_m"].value_float)
+            m_star = int(rows["argmax_m"].value)
             assert abs(sweep[m_star - 1] - max(sweep)) < 1e-9
             # gcd(k, p-1) = 1 makes the complete sum vanish
-            assert rows["complete_mag"].value_float < 1e-9
+            assert rows["complete_mag"].value < 1e-9
             assert abs(rows["max_incomplete"].normalized
                        - max(sweep) / 13.0**0.75) < 1e-12
     peaks = [r for r in records if r.statistic == "p_max_incomplete"]
     assert len(peaks) == 1
-    assert abs(peaks[0].value_float
-               - max(r.value_float for r in records
+    assert abs(peaks[0].value
+               - max(r.value for r in records
                      if r.statistic == "max_incomplete")) < 1e-12
 
 
@@ -181,22 +181,45 @@ def test_scan_zaremba_matches_search():
     for n in range(2, 13):
         z = zaremba_search(n, 5)
         rows = {r.statistic: r for r in records if r.n_or_p == n}
-        assert rows["max_quotient"].value_num == z.max_quotient
+        assert rows["max_quotient"].value == z.max_quotient
         assert dict(rows["max_quotient"].params)["k"] == str(z.k)
-        assert Fraction(rows["max_prefix_avg"].value_num,
-                        rows["max_prefix_avg"].value_den) \
-            == z.max_prefix_average
-        assert rows["certified"].value_num == int(z.certifies)
+        assert rows["max_prefix_avg"].value == z.max_prefix_average
+        assert rows["certified"].value == int(z.certifies)
 
 
 def test_scan_obryant_frozen_at_200():
     records = scan_obryant("sqrt:2", 200, targets=(1, 10**6))
     by = {(r.statistic, dict(r.params).get("target")): r for r in records}
-    assert by[("aset_size", None)].value_num == 93
-    assert by[("max_gap", None)].value_num == 18
-    assert by[("gap_ok", None)].value_num == 1
-    assert by[("target_hit", "1")].value_num == 1
-    assert by[("target_hit", "1000000")].value_num == 0
+    assert by[("aset_size", None)].value == 93
+    assert by[("max_gap", None)].value == 18
+    assert by[("gap_ok", None)].value == 1
+    assert by[("target_hit", "1")].value == 1
+    assert by[("target_hit", "1000000")].value == 0
+
+
+# pinned CSV body digests; gauss is left out, as numpy's vectorised exp
+# may round last bits differently on another CPU
+@pytest.mark.parametrize("scan, args, want", [
+    (scan_sos, (("golden", "sqrt:2", "rat:5/13", "-sqrt:7"),
+                (1, 2, 13, 64, 300)),
+     "68edd92b2f66a750eae08c9006b981af3c38816667abbced7cb973f9390238cc"),
+    (scan_obryant, ("sqrt:2", 300, (1, 7, 10**6)),
+     "cc1d54cc1af3ca3a8065bb41bff1a4cb212274c29f51df134faa037a329b9d37"),
+    (scan_zaremba, (2, 60, "7/2"),
+     "ef7d9bf92fcb35be53a89a07f0cf51a41aefcef31af53c6f8b860da2983b30f0"),
+], ids=["sos", "obryant", "zaremba"])
+def test_scan_bodies_pinned(scan, args, want):
+    body = "\n".join(csv_rows(scan(*args))) + "\n"
+    assert hashlib.sha256(body.encode()).hexdigest() == want
+
+
+def test_record_value_type_says_exact():
+    for r in scan_sos(["golden"], [16]):
+        exact = r.statistic in ("dstar", "discrelation_ok",
+                                "cf_quotient_sum", "cf_max_quotient")
+        assert type(r.value) is (Fraction if exact else float)
+    assert type(rec_q("f", 3, {}, "s", 2).value) is Fraction
+    assert type(rec_f("f", 3, {}, "s", 2).value) is float
 
 
 def test_scan_gauss_merges_equal_residues(tmp_path):
@@ -422,6 +445,19 @@ def test_cli_scan_plot_unknown_statistic(tmp_path, capsys):
                  "--plot", "nope"]) == 1
     assert "nope" in capsys.readouterr().err
     assert not (tmp_path / "t2_plot_nope.csv").exists()
+
+
+def test_cli_bad_plot_leaves_the_previous_pair(tmp_path, capsys):
+    argv = ["scan-psi", "--pmin", "5", "--pmax", "13", "--out",
+            str(tmp_path), "--base", "demo"]
+    assert main(argv + ["--pmax", "7"]) == 0
+    paths = [tmp_path / "demo.csv", tmp_path / "demo_summary.json"]
+    before = [p.read_bytes() for p in paths]
+    capsys.readouterr()
+    assert main(argv + ["--plot", "nope"]) == 1
+    assert capsys.readouterr().err == \
+        "error: no rows carry statistic 'nope'\n"
+    assert [p.read_bytes() for p in paths] == before
 
 
 def test_cli_zaremba_stdout(capsys):
