@@ -24,9 +24,8 @@ from .families import (Permutation, bit_reversal, compose, eta_power,
                        random_perm, reversal_perm, rho_exp, sos_perm,
                        to_text)
 from .intervals import Interval, all_intervals
-from .modular import (PrimeModulus, factorize, find_primitive_root,
-                      is_prime, is_primitive_root, mod_inv,
-                      multiplicative_order)
+from .modular import (factorize, find_primitive_root, is_prime,
+                      is_primitive_root, mod_inv, multiplicative_order)
 from .qrstats import (EigenvalueStat, PropertyProfile, eigenvalue_stat,
                       pattern_count, property_profile,
                       restricted_pattern_count, restriction,

@@ -6,10 +6,11 @@ has one representation and denominators of [0; a_1..a_m] are exactly the
 continuants K(a_1..a_m).
 
 One recurrence gives every convergent: _convergent_stream yields
-(a_i, p_i, q_i) along any quotient sequence, and _quotient_stream
-unrolls an expansion into one (the periodic tail cycles forever).
-convergents, continuant, the three-distance walk of sos_perm and the
-quotient profile of scan_sos all read it.
+(a_i, p_i, q_i) along any quotient sequence, and _quotient_stream, the
+one place that unrolls a periodic tail (it cycles forever), turns an
+expansion into one.  convergents, continuant and the quotient method
+read them; _convergents_upto, which stops at the last q_i <= n, serves
+the three-distance walk of sos_perm and the quotient profile of scan_sos.
 
 Quadratic irrationals get the classical (P + sqrt(D))/Q surd recurrence
 with period detection on the (P, Q) state, so golden -> [1; (1)],
@@ -56,17 +57,12 @@ class ContinuedFraction:
             raise QrpermError("canonical finite form needs last quotient >= 2")
 
     def quotient(self, i: int) -> int:
-        """Partial quotient a_i, i >= 1, unrolling the periodic tail."""
+        """Partial quotient a_i, i >= 1, read from _quotient_stream."""
         if i < 1:
             raise QrpermError("quotient index starts at 1")
-        idx = i - 1
-        if idx < len(self.quotients):
-            return self.quotients[idx]
-        if self.periodic_tail is None:
-            raise QrpermError(f"finite expansion has no quotient a_{i}")
-        period = len(self.quotients) - self.periodic_tail
-        return self.quotients[self.periodic_tail
-                              + (idx - self.periodic_tail) % period]
+        for a in itertools.islice(_quotient_stream(self), i - 1, None):
+            return a
+        raise QrpermError(f"finite expansion has no quotient a_{i}")
 
     def __str__(self) -> str:
         if self.periodic_tail is None:
@@ -150,6 +146,13 @@ def _convergent_stream(a0: int, quotients):
         p_prev, p = p, a * p + p_prev
         q_prev, q = q, a * q + q_prev
         yield a, p, q
+
+
+def _convergents_upto(cf: ContinuedFraction, n: int):
+    """(a_i, p_i, q_i) from _convergent_stream for the convergents of cf
+    with q_i <= n, in order."""
+    return itertools.takewhile(
+        lambda t: t[2] <= n, _convergent_stream(cf.a0, _quotient_stream(cf)))
 
 
 def convergents(cf: ContinuedFraction, m: int) -> list[Fraction]:

@@ -32,8 +32,9 @@ from .modular import find_primitive_root
 from .qrstats import property_profile
 from .quadirr import frac_float, parse_alpha
 from .ranksets import b_sequence
-from .scan import (emit, plot_rows, scan_gauss, scan_obryant, scan_psi,
-                   scan_sos, scan_zaremba, timed, write_plot_data)
+from .scan import (_scan_sos_perm, emit, plot_rows, scan_gauss,
+                   scan_obryant, scan_psi, scan_sos, scan_zaremba, timed,
+                   write_plot_data)
 
 FAMILIES = ("psi", "lambda", "eta", "rho", "sos", "bitrev",
             "identity", "reversal", "random")
@@ -229,14 +230,14 @@ def cmd_obryant(cfg: RunConfig) -> int:
           f"{size.normalized:.4f})")
     print(f"max gap = {gap.value}  (vs sqrt(32 n D) bound: "
           f"{gap.normalized:.4f} of allowance)")
-    for t in targets:
+    for t in dict.fromkeys(targets):     # one line per distinct target
         r = by_stat[("target_hit",
                      (("alpha", cfg.alpha), ("target", str(t))))]
         print(f"target {t}: {'hit' if r.value else 'missing'}")
     if cfg.n is not None:
         # B(k) depends only on {q*alpha} for q <= k: rank the prefix only
         upto = min(cfg.n, cfg.limit)
-        sigma = sos_perm(upto, parse_alpha(cfg.alpha))
+        sigma = _scan_sos_perm(upto, parse_alpha(cfg.alpha))
         print("B(1..{}) = {}".format(
             upto, " ".join(str(v) for v in b_sequence(sigma))))
     return 0
@@ -264,7 +265,8 @@ def _add_family_flags(sp):
     sp.add_argument("--tau", type=int)
     sp.add_argument("--seed", type=int)
     sp.add_argument("--alpha", help="golden | -golden | sqrt:D | "
-                    "quad:a,b,d,c | rat:p/q")
+                    "quad:a,b,d,c | rat:p/q (a negative one needs =: "
+                    "--alpha=-golden)")
     sp.add_argument("--tie-break", action="store_true")
     sp.add_argument("--from-file", help="read the permutation from a "
                     "gen-format text file instead")
@@ -327,7 +329,9 @@ def make_parser() -> argparse.ArgumentParser:
                         "statistic")
 
     sp = sub.add_parser("scan-sos", help="Sos permutation scan")
-    sp.add_argument("--alphas", help="comma list of alpha handles")
+    sp.add_argument("--alphas", help="comma list of alpha handles (a "
+                    "list that starts negative needs =: "
+                    "--alphas=-golden,sqrt:2)")
     sp.add_argument("--n-list", help="comma list of sizes")
     sp.add_argument("--workers", type=int)
     sp.add_argument("--out")
@@ -343,7 +347,8 @@ def make_parser() -> argparse.ArgumentParser:
                     "printing")
 
     sp = sub.add_parser("obryant", help="rank sequence hit-set queries")
-    sp.add_argument("--alpha")
+    sp.add_argument("--alpha", help="alpha handle, as for gen (a "
+                    "negative one needs =: --alpha=-golden)")
     sp.add_argument("--limit", type=int)
     sp.add_argument("--targets", help="comma list of values to look for")
     sp.add_argument("--n", type=int, help="also print B(1..n)")

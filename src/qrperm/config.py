@@ -16,6 +16,7 @@ import os
 from dataclasses import dataclass, fields
 from typing import Any
 
+from .discrepancy import D_EXACT_CAP
 from .errors import QrpermError
 
 
@@ -42,7 +43,7 @@ class RunConfig:
     t: int | None = None
     # statistics knobs
     alpha_exp: float = 0.5
-    exact_cap: int = 512
+    exact_cap: int = D_EXACT_CAP
     # scan ranges
     pmin: int = 5
     pmax: int = 127

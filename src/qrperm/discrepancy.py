@@ -31,8 +31,7 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     O(n^2) time, O(n) memory.  The sweep is one kernel,
                     _d_star_many(images, n), which steps the runs of K
                     permutations together; d_star is its K = 1 call.
-                    The psi scan passes max(1, 4096 // (p + 1)) pair
-                    representatives psi_k per call, 16 at p = 251.
+                    _rows_per_call(n) says how many to pass at once.
     d_exact(sigma)  max over all cyclic interval pairs.  For I = [i,j)
                     and J = [c,d) the signed deviation is
                     F(j,d) - F(i,d) - F(j,c) + F(i,c), so the best J for
@@ -63,6 +62,15 @@ from .intervals import Interval
 
 D_EXACT_CAP = 512
 _SEGMENTS = 32
+_BLOCK_CELLS = 4096
+
+
+def _rows_per_call(n: int) -> int:
+    """How many permutations of size n one _d_star_many call should
+    sweep: max(1, _BLOCK_CELLS // (n + 1)), 16 at n = 251 and 8 at
+    n = 499, so the call's (K, _SEGMENTS, n + 1) int32 block stays near
+    512 KB, inside L2."""
+    return max(1, _BLOCK_CELLS // (n + 1))
 
 
 def _inverses(images: np.ndarray) -> np.ndarray:

@@ -47,6 +47,8 @@ from .families import Permutation, _params
 from .intervals import Interval
 from .modular import as_prime, mod_inv, multiplicative_order
 
+COMPLETION_CAP = 4096
+
 
 @dataclass(frozen=True)
 class SumValue:
@@ -253,13 +255,13 @@ class CompletionReport:
     ok: bool
 
 
-def completion_check(sigma: Permutation, k: int,
-                     cap: int = 4096) -> CompletionReport:
+def completion_check(sigma: Permutation, k: int) -> CompletionReport:
     """Completion inequality: every incomplete window sum is at most
-    (1 + ln n) times the worst twisted complete sum."""
+    (1 + ln n) times the worst twisted complete sum.  Refuses
+    n > COMPLETION_CAP."""
     n = sigma.n
-    if n > cap:
-        raise SizeRefusedError(f"n = {n} exceeds cap {cap}")
+    if n > COMPLETION_CAP:
+        raise SizeRefusedError(f"n = {n} exceeds cap {COMPLETION_CAP}")
     if k % n == 0:
         raise QrpermError("k must be nonzero mod n")
     img = np.asarray(sigma.image, dtype=np.int64)

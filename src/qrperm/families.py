@@ -23,12 +23,11 @@ byte-exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cfrac import _convergent_stream, _quotient_stream, cf_of_quadratic
+from .cfrac import _convergents_upto, cf_of_quadratic
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
                      NotAPermutationError, NotAUnitError, QrpermError)
 from .modular import as_prime, is_primitive_root, mod_inv, multiplicative_order
@@ -209,9 +208,8 @@ def _sorted_exact_irrational(n: int, alpha: QuadraticIrrational) -> list[int]:
     n - pN and p1 + pN - n - 1 steps of the kinds; its total excess
     p1*(floor(pN*alpha) + 1) - pN*floor(p1*alpha) - 1 must be 0.
     """
-    cf = cf_of_quadratic(alpha)
-    dens = [0, 1] + [q for _, _, q in itertools.takewhile(
-        lambda t: t[2] <= n, _convergent_stream(0, _quotient_stream(cf)))]
+    dens = [0, 1] + [q for _, _, q in
+                     _convergents_upto(cf_of_quadratic(alpha), n)]
     q_prev, q = dens[-2:]
     semi = q_prev + (n - q_prev) // q * q
     p1, pn = (q, semi) if frac_compare(alpha, q, semi) < 0 else (semi, q)

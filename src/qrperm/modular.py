@@ -8,6 +8,7 @@ permutation families and exponential-sum kernels are built from:
     multiplicative_order(x, p)  least t >= 1 with x^t = 1 (mod p)
     find_primitive_root(p)    smallest generator of Z_p^*
     is_primitive_root(t, p)   t^((p-1)/q) != 1 for every prime q | p-1
+    as_prime(p)               the one primality gate of prime moduli
 
 Modular powers are Python's three-argument pow.
 
@@ -20,7 +21,6 @@ this package targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidModulusError, NotAUnitError
 
@@ -52,25 +52,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A modulus that has passed the deterministic primality check."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvalidModulusError(f"{self.p} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
-
-
 def as_prime(p) -> int:
-    """Accept an int or PrimeModulus, return the certified int value."""
-    if isinstance(p, PrimeModulus):
-        return p.p
-    return PrimeModulus(int(p)).p
+    """p as an int, certified prime; InvalidModulusError otherwise."""
+    p = int(p)
+    if not is_prime(p):
+        raise InvalidModulusError(f"{p} is not prime")
+    return p
 
 
 def mod_inv(a: int, m: int) -> int:

@@ -155,8 +155,7 @@ def _check_alpha(alpha: float) -> None:
         raise QrpermError(f"alpha must be positive and finite, got {alpha}")
 
 
-def eigenvalue_stat(sigma: Permutation, alpha: float,
-                    cap: int = EIGEN_CAP) -> EigenvalueStat:
+def eigenvalue_stat(sigma: Permutation, alpha: float) -> EigenvalueStat:
     """max over 1 <= k <= n/2 and cyclic intervals I of
     |sum_{s in sigma(I)} e(-k*s/n)| / k^alpha.
 
@@ -173,11 +172,12 @@ def eigenvalue_stat(sigma: Permutation, alpha: float,
     stop at the first k whose ub_k, with a relative slack of _UB_SLACK
     for rounding, is below the best value found; every later k is
     bounded below it too.  Among equal values the smallest k wins.
+    Refuses n > EIGEN_CAP.
     """
     _check_alpha(alpha)
     n = sigma.n
-    if n > cap:
-        raise SizeRefusedError(f"n = {n} exceeds cap {cap}")
+    if n > EIGEN_CAP:
+        raise SizeRefusedError(f"n = {n} exceeds cap {EIGEN_CAP}")
     if n < 2:
         raise QrpermError("n must be >= 2")
     img = np.asarray(sigma.image, dtype=np.int64)

@@ -31,9 +31,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cfrac import (_convergent_stream, _parse_bound, _quotient_stream,
-                    cf_of_quadratic, cf_of_rational, zaremba_search)
-from .discrepancy import _d_star_many, d_star
+from .cfrac import (_convergents_upto, _parse_bound, cf_of_quadratic,
+                    cf_of_rational, zaremba_search)
+from .discrepancy import _d_star_many, _rows_per_call, d_star
 from .errors import QrpermError
 from .expsums import _walks
 from .families import _params, sos_perm
@@ -92,12 +92,6 @@ def _scan(fn, points, workers: int) -> list[ScanRecord]:
 
 # ---------------------------------------------------------------- psi scan
 
-# the psi scan hands the D* kernel max(1, 4096 // (p + 1)) rows per call
-# (16 at p = 251, 8 at p = 499), so its (K, 32, p + 1) int32 block stays
-# near 512 KB, inside L2
-_PSI_BLOCK_CELLS = 4096
-
-
 def _psi_devs(p: int) -> list[int]:
     """p * D*(psi_k) at index k - 1, for k = 1..p-1.  Only the pair
     representatives k <= k^-1 go to the kernel; each value serves both
@@ -105,7 +99,7 @@ def _psi_devs(p: int) -> list[int]:
     devs = [0] * (p - 1)
     inverse = {k: pow(k, -1, p) for k in range(1, p)}
     reps = [k for k, inv in inverse.items() if inv >= k]
-    chunk = max(1, _PSI_BLOCK_CELLS // (p + 1))
+    chunk = _rows_per_call(p)
     s = np.arange(p)
     for i in range(0, len(reps), chunk):
         ks = reps[i:i + chunk]
@@ -121,9 +115,8 @@ def _psi_prime(p: int) -> list[ScanRecord]:
     best = Fraction(min(devs), p)
     argmin = 1 + devs.index(min(devs))   # smallest k on ties
     lnp = math.log(p)
-    cf = cf_of_rational(argmin, p)
-    quots = cf.quotients
-    out = [
+    quots = cf_of_rational(argmin, p).quotients
+    return [
         rec_q("psi-scan", p, {}, "mean_dstar", mean,
               float(mean) / lnp**2),
         rec_q("psi-scan", p, {}, "mean_dstar_log2sq", mean,
@@ -137,7 +130,6 @@ def _psi_prime(p: int) -> list[ScanRecord]:
         rec_q("psi-scan", p, {"k": argmin}, "argmin_cf_quotient_sum",
               sum(quots)),
     ]
-    return out
 
 
 def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
@@ -150,9 +142,9 @@ def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
     cap [0,b)| - a*b, so max |F| is unchanged.  Negation k -> p - k is
     not a D* symmetry.  The images k*s mod p of the representatives
     k <= k^-1 are built directly, with no Permutation, and the D* kernel
-    sweeps K = max(1, 4096 // (p + 1)) of them per call (16 at p = 251,
-    8 at p = 499).  Primes go to the pool largest first, since the
-    cost per prime grows like p^3."""
+    sweeps as many of them per call as discrepancy._rows_per_call(p)
+    allows.  Primes go to the pool largest first, since the cost per
+    prime grows like p^3."""
     points = [p for p in range(pmax, max(pmin, 3) - 1, -1) if is_prime(p)]
     return _scan(_psi_prime, points, workers)
 
@@ -209,6 +201,12 @@ def scan_gauss(pmin: int, pmax: int, a_values=(1,),
 
 # ---------------------------------------------------------------- sos scan
 
+def _scan_sos_perm(n: int, alpha):
+    """sos_perm(n, alpha) as every scan ranks it: the honest ties of a
+    rational alpha, from n = its denominator on, go to the smaller s."""
+    return sos_perm(n, alpha, tie_break=True)
+
+
 def _cf_profile(alpha, n: int) -> tuple[int, int, int]:
     """(m, sum, max) of the partial quotients a_1..a_m where m is the
     last index whose convergent denominator is still <= n."""
@@ -217,18 +215,14 @@ def _cf_profile(alpha, n: int) -> tuple[int, int, int]:
     else:
         alpha = Fraction(alpha)
         cf = cf_of_rational(alpha.numerator, alpha.denominator)
-    quots = [a for a, _, _ in itertools.takewhile(
-        lambda t: t[2] <= n, _convergent_stream(cf.a0, _quotient_stream(cf)))]
+    quots = [a for a, _, _ in _convergents_upto(cf, n)]
     return (len(quots), sum(quots), max(quots, default=0))
 
 
 def _sos_point(args: tuple[str, int]) -> list[ScanRecord]:
     label, n = args
     alpha = parse_alpha(label)
-    # rational alpha has honest ties once n reaches the denominator;
-    # scans always break them by position (smaller s first)
-    sigma = sos_perm(n, alpha, tie_break=not isinstance(
-        alpha, QuadraticIrrational))
+    sigma = _scan_sos_perm(n, alpha)
     ds = d_star(sigma)
     prefix = max_prefix_star(alpha, sigma)
     log2n = math.log2(n) if n > 1 else 1.0
@@ -276,11 +270,11 @@ def scan_obryant(alpha_label: str, limit: int,
                  targets=()) -> list[ScanRecord]:
     """Which values does {B_alpha(k) : k <= limit} hit?  Also the density
     |A| against sqrt(n / ln n) and the largest element-free interval
-    against the sqrt(32 n D) guarantee."""
+    against the sqrt(32 n D) guarantee.  Repeated targets count once."""
     if limit < 2:
         raise QrpermError(f"obryant needs limit >= 2, got {limit}")
     alpha = parse_alpha(alpha_label)
-    sigma = sos_perm(limit, alpha)
+    sigma = _scan_sos_perm(limit, alpha)
     ranks = a_set(sigma)
     d_up = 4 * d_star(sigma)
     gc = gap_check(sigma, d_up)
@@ -293,9 +287,9 @@ def scan_obryant(alpha_label: str, limit: int,
         rec_q("obryant", limit, pm, "gap_ok", int(gc.ok)),
     ]
     hit = set(ranks.values)
-    for t in targets:
+    for t in dict.fromkeys(map(int, targets)):    # first occurrences
         out.append(rec_q("obryant", limit, dict(alpha=alpha_label, target=t),
-                         "target_hit", int(int(t) in hit)))
+                         "target_hit", int(t in hit)))
     return sorted(out, key=_sort_key)
 
 

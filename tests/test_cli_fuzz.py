@@ -91,12 +91,17 @@ def argvs(draw, root):
     for action in COMMANDS[name]:
         if action.dest not in SIZE_FLAGS and not draw(st.booleans()):
             continue
-        argv.append(draw(st.sampled_from(action.option_strings)))
-        if action.nargs != 0:
-            if action.dest in SIZE_FLAGS and action.dest != "n_list":
-                argv.append(draw(_mostly(SMALL.map(str))))
-            else:
-                argv.append(_value(draw, action, root))
+        flag = draw(st.sampled_from(action.option_strings))
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if action.dest in SIZE_FLAGS and action.dest != "n_list":
+            value = draw(_mostly(SMALL.map(str)))
+        else:
+            value = _value(draw, action, root)
+        # half the pairs are joined with =, the one way a value such as
+        # -golden or -1,4 reaches the command instead of reading as a flag
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
         argv[:0] = ["--config", os.path.join(root, draw(st.sampled_from(
             ["run.cfg", "run.cfg", "missing.cfg", "", "\0"])))]

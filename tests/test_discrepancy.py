@@ -139,7 +139,7 @@ def test_psi_scan_kernel_rows_and_chunks(p, monkeypatch):
     # chunks of 1, 3 and 7 cut the pair list elsewhere, also mid-list;
     # every value stays as it was
     for chunk in (1, 3, 7):
-        monkeypatch.setattr(scan, "_PSI_BLOCK_CELLS", chunk * (p + 1))
+        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", chunk * (p + 1))
         assert scan._psi_devs(p) == devs
 
 

@@ -34,6 +34,7 @@ from qrperm import (
     weyl_sum,
 )
 
+from qrperm import expsums
 from qrperm.calibration import PV_CONSTANT, W_SUM_CONSTANT
 from qrperm.expsums import _walks
 
@@ -343,9 +344,11 @@ def test_completion_max_window_matches_brute_force():
                          tol=1e-9)
 
 
-def test_completion_check_validation():
-    with pytest.raises(SizeRefusedError, match="cap"):
-        completion_check(identity_perm(10), 1, cap=9)
+def test_completion_check_validation(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(expsums, "COMPLETION_CAP", 9)
+        with pytest.raises(SizeRefusedError, match="cap"):
+            completion_check(identity_perm(10), 1)
     with pytest.raises(QrpermError, match="nonzero"):
         completion_check(identity_perm(10), 10)
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrperm.errors import InvalidModulusError, NotAUnitError, QrpermError
-from qrperm.modular import (PrimeModulus, as_prime, factorize,
-                            find_primitive_root, is_prime,
-                            is_primitive_root, mod_inv, multiplicative_order)
+from qrperm.modular import (as_prime, factorize, find_primitive_root,
+                            is_prime, is_primitive_root, mod_inv,
+                            multiplicative_order)
 
 
 def sieve(limit):
@@ -125,11 +125,9 @@ def test_order_rejects_zero():
 
 
 def test_prime_modulus_validates():
-    pm = PrimeModulus(101)
-    assert int(pm) == 101
-    with pytest.raises(QrpermError):
-        PrimeModulus(100)
-    assert as_prime(pm) == 101
+    assert as_prime(101) == 101
+    with pytest.raises(InvalidModulusError):
+        as_prime(100)
     assert as_prime(13) == 13
     with pytest.raises(QrpermError):
         as_prime(15)

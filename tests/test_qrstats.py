@@ -373,20 +373,23 @@ def test_eigenvalue_stat_attained_and_dominates_probes():
         assert probe <= stat.value + 1e-9
 
 
-def test_eigenvalue_stat_validation():
+def test_eigenvalue_stat_validation(monkeypatch):
     with pytest.raises(QrpermError, match="positive"):
         eigenvalue_stat(psi(13, 5), 0.0)
     with pytest.raises(QrpermError, match=">= 2"):
         eigenvalue_stat(identity_perm(1), 0.5)
-    with pytest.raises(SizeRefusedError):
-        eigenvalue_stat(psi(13, 5), 0.5, cap=12)
     for alpha in (math.nan, math.inf, -1.0):
         for call in (lambda: eigenvalue_stat(psi(13, 5), alpha),
-                     lambda: eigenvalue_stat(psi(13, 5), alpha, cap=12),
                      lambda: eigenvalue_stat(identity_perm(1), alpha),
                      lambda: property_profile(psi(13, 5), alpha)):
             with pytest.raises(QrpermError, match="positive and finite"):
                 call()
+    monkeypatch.setattr(qrstats, "EIGEN_CAP", 12)
+    with pytest.raises(SizeRefusedError):
+        eigenvalue_stat(psi(13, 5), 0.5)
+    for alpha in (math.nan, math.inf, -1.0):
+        with pytest.raises(QrpermError, match="positive and finite"):
+            eigenvalue_stat(psi(13, 5), alpha)
 
 
 # ---------------------------------------------------------------- profile

@@ -213,6 +213,40 @@ def test_scan_bodies_pinned(scan, args, want):
     assert hashlib.sha256(body.encode()).hexdigest() == want
 
 
+def _ten_digits(obj):
+    """obj with every float written to 10 significant digits, so a
+    last-bit difference in a vectorised transcendental does not count."""
+    if isinstance(obj, float):
+        return format(obj, ".10g")
+    if isinstance(obj, dict):
+        return {k: _ten_digits(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_ten_digits(v) for v in obj]
+    return obj
+
+
+_PINNED_PERMS = [["--family", fam, "--n", n, "--k", "7"] for fam, n in
+                 (("psi", "101"), ("lambda", "101"), ("eta", "101"),
+                  ("rho", "101"), ("bitrev", "64"))]
+_PINNED_ARGVS = [[cmd, *perm] for perm in _PINNED_PERMS
+                 for cmd in ("disc", "stats")] + [
+    ["sums", "--kind", "completion", *perm] for perm in _PINNED_PERMS] + [
+    ["sums", "--kind", "kloosterman", "--n", "101", "--a", "3", "--b", "5"],
+    ["sums", "--kind", "wsum", "--n", "101", "--a", "3", "--c", "5",
+     "--theta", "14", "--t", "10"]]      # 14 = 2^10 has order 10 mod 101
+
+
+def test_analysis_outputs_pinned(capsys):
+    # the JSON that disc, stats and sums print, floats to 10 digits
+    out = []
+    for argv in _PINNED_ARGVS:
+        assert main(argv) == 0, argv
+        out.append([argv, _ten_digits(json.loads(capsys.readouterr().out))])
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode())
+    assert digest.hexdigest() == \
+        "c558801d6639421f111864bb159364faf3468c4f7a0ff429cc5e4d9c03a0168a"
+
+
 def test_record_value_type_says_exact():
     for r in scan_sos(["golden"], [16]):
         exact = r.statistic in ("dstar", "discrelation_ok",
@@ -477,6 +511,34 @@ def test_cli_obryant_stdout(capsys):
     assert "B(1..12) = 1 2 1 3 1 4 7 3 7 2 7 12" in out
 
 
+def test_cli_obryant_breaks_rational_ties_by_position(capsys):
+    # {3s/7} ties once the limit reaches 7; scans rank the smaller s first
+    assert main(["obryant", "--alpha", "rat:3/7", "--limit", "20",
+                 "--n", "9"]) == 0
+    assert "B(1..9) = 1 2 1 3 1 4 1 5 9\n" in capsys.readouterr().out
+
+
+_REPEATED_TARGETS = ["obryant", "--alpha", "golden", "--limit", "20",
+                     "--targets", "7,5,7"]
+
+
+def test_cli_obryant_prints_a_repeated_target_once(capsys):
+    assert main(_REPEATED_TARGETS) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [s for s in lines if s.startswith("target")] == \
+        ["target 7: missing", "target 5: hit"]
+
+
+def test_cli_obryant_scans_a_repeated_target_once(tmp_path):
+    assert main([*_REPEATED_TARGETS, "--out", str(tmp_path),
+                 "--base", "t"]) == 0
+    rows = (tmp_path / "t.csv").read_text().splitlines()
+    assert [r.split(",")[2] for r in rows if "target_hit" in r] == \
+        ["alpha=golden;target=5", "alpha=golden;target=7"]
+    assert scan_obryant("golden", 20, (7, 5, 7)) == \
+        scan_obryant("golden", 20, (7, 5))
+
+
 def test_cli_obryant_rejects_n_below_one(capsys):
     for n in ("-3", "0"):
         assert main(["obryant", "--alpha", "golden", "--limit", "10",
@@ -487,22 +549,23 @@ def test_cli_obryant_rejects_n_below_one(capsys):
 
 
 def test_cli_obryant_ranks_only_the_printed_prefix(monkeypatch, capsys):
-    import qrperm.cli as cli_mod
+    import qrperm.scan as scan_mod
     built = []
-    real = cli_mod.sos_perm
+    real = scan_mod.sos_perm
 
     def recording(n, alpha, **kw):
         built.append(n)
         return real(n, alpha, **kw)
 
-    monkeypatch.setattr(cli_mod, "sos_perm", recording)
+    # the scan ranks all 30 first, then --n ranks only its prefix
+    monkeypatch.setattr(scan_mod, "sos_perm", recording)
     for n, want in (("5", 5), ("40", 30)):
         assert main(["obryant", "--alpha", "golden", "--limit", "30",
                      "--n", n]) == 0
         out = capsys.readouterr().out
         seq = b_sequence(sos_perm(30, golden()))[:want]
         assert f"B(1..{want}) = {' '.join(map(str, seq))}" in out
-    assert built == [5, 30]
+    assert built == [30, 5, 30, 30]
 
 
 def test_cli_sums_weyl_rejects_n_below_one(capsys):
@@ -540,6 +603,17 @@ def _assert_cli_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     return err
+
+
+def test_cli_negative_alpha_handle_needs_equals(capsys):
+    assert main(["disc", "--family", "sos", "--n", "20",
+                 "--alpha=-golden"]) == 0
+    assert json.loads(capsys.readouterr().out)["params"]["alpha"] == \
+        "-golden"
+    # argparse reads a separate -golden as a flag
+    err = _assert_cli_error(["disc", "--family", "sos", "--n", "20",
+                             "--alpha", "-golden"], capsys)
+    assert err.count("error:") == 1 and err.count("\n") == 1
 
 
 def test_cli_argparse_errors_keep_the_error_contract(capsys):
