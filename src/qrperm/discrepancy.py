@@ -17,21 +17,30 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
 (n <= 46340) and int64 above.
 
     d_star(sigma)   max |F| over initial intervals I = [0,a), J = [0,b).
-                    Rows 0..n-1 (row n is zero) are cut into _SEGMENTS
-                    runs of span = ceil(n/_SEGMENTS) rows; the last run
-                    starts at n - span and may overlap the one before
-                    it, which a max does not notice.  Each run starts
-                    from a closed-form row and all runs step together by
-                    the recurrence
+                    Rows 0..n-1 (row n is zero) are cut into runs of
+                    span = ceil(n/runs) rows; the last run starts at
+                    n - span and may overlap the one before it, which a
+                    max does not notice.  Each run starts from a
+                    closed-form row and all runs step together by the
+                    recurrence
                         F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b,
                     so the Python loop runs span - 1 times over whole-row
-                    vector operations.  The sweep only needs
-                    |F| + n < 2^31, that is n <= 92679, so above 46340
-                    the first rows are built in int64 and cast to int32.
-                    O(n^2) time, O(n) memory.  The sweep is one kernel,
+                    vector operations.  The sweep is one kernel,
                     _d_star_many(images, n), which steps the runs of K
                     permutations together; d_star is its K = 1 call.
-                    _rows_per_call(n) says how many to pass at once.
+                    One rule sets the run count: the fewest runs, from
+                    _MIN_RUNS = 4 to _SEGMENTS = 32, whose
+                    (K, runs, n + 1) block reaches _BLOCK_CELLS, so one
+                    permutation gets 32 runs up to n = 4227, and a large
+                    batch gets fewer, longer runs and so fewer
+                    closed-form rows.  _rows_per_call(n) says how many
+                    permutations to pass at once: as many as fill the
+                    block at _MIN_RUNS runs.  The sweep only needs
+                    |F| + n <= n^2/4 + n in range, so it runs in int16
+                    up to n = 360, in int32 up to n = 92679 and in int64
+                    above; the first rows are built in int32 (int64
+                    above n = 46340) and cast.  O(n^2) time, O(n)
+                    memory.
     d_exact(sigma)  max over all cyclic interval pairs.  For I = [i,j)
                     and J = [c,d) the signed deviation is
                     F(j,d) - F(i,d) - F(j,c) + F(i,c), so the best J for
@@ -62,15 +71,16 @@ from .intervals import Interval
 
 D_EXACT_CAP = 512
 _SEGMENTS = 32
-_BLOCK_CELLS = 4096
+_MIN_RUNS = 4
+_BLOCK_CELLS = 32 * 4096
 
 
 def _rows_per_call(n: int) -> int:
     """How many permutations of size n one _d_star_many call should
-    sweep: max(1, _BLOCK_CELLS // (n + 1)), 16 at n = 251 and 8 at
-    n = 499, so the call's (K, _SEGMENTS, n + 1) int32 block stays near
-    512 KB, inside L2."""
-    return max(1, _BLOCK_CELLS // (n + 1))
+    sweep: max(1, _BLOCK_CELLS // (_MIN_RUNS * (n + 1))), 130 at n = 251
+    and 65 at n = 499, so the call's (K, runs, n + 1) block at _MIN_RUNS
+    runs stays within _BLOCK_CELLS (512 KB of int32), inside L2."""
+    return max(1, _BLOCK_CELLS // (_MIN_RUNS * (n + 1)))
 
 
 def _inverses(images: np.ndarray) -> np.ndarray:
@@ -99,11 +109,11 @@ def _deviation_rows(inv: np.ndarray, starts) -> np.ndarray:
     return f
 
 
-def _run_starts(n: int) -> tuple[int, np.ndarray]:
-    """Cut rows 0..n-1 into _SEGMENTS runs of span = ceil(n / _SEGMENTS)
-    rows: (span, first row of each run).  The last run starts at
-    n - span and may overlap the one before it."""
-    span = -(-n // _SEGMENTS)
+def _run_starts(n: int, runs: int = _SEGMENTS) -> tuple[int, np.ndarray]:
+    """Cut rows 0..n-1 into runs of span = ceil(n / runs) rows: (span,
+    first row of each run).  The last run starts at n - span and may
+    overlap the one before it."""
+    span = -(-n // runs)
     return span, np.minimum(np.arange(0, n, span), n - span)
 
 
@@ -111,20 +121,28 @@ def _d_star_many(images: np.ndarray, n: int) -> np.ndarray:
     """max |F| of each row of a (K, n) array of permutation images, as
     int64: the D* kernel, count scale.
 
-    Rows 0..n-1 of each F are cut into runs of span = ceil(n / _SEGMENTS)
-    rows (row n is zero).  The last run starts at n - span and may
-    overlap the one before it; rows seen twice do not change a max.  Each
-    run's first row comes from _deviation_rows, and then all K * _SEGMENTS
-    runs step forward together by F(a+1, b) = F(a, b) + n*[b > sigma(a)]
-    - b, so the Python loop runs span - 1 times over whole-block vector
-    operations.  The row b -> n*[b > v] is the window at n - v of one
-    array of length 2n + 1.  The sweep is int32 while |F| + n <= n^2/4 +
-    n < 2^31 (n <= 92679), also where the closed-form rows need int64.
+    Rows 0..n-1 of each F are cut into runs of span = ceil(n / runs)
+    rows (row n is zero), where runs = min(_SEGMENTS, max(_MIN_RUNS,
+    ceil(_BLOCK_CELLS / (K * (n + 1))))): the fewest runs whose
+    (K, runs, n + 1) block reaches _BLOCK_CELLS, so 32 for one
+    permutation up to n = 4227 and fewer, longer runs for a large batch.
+    The last run starts at n - span and may overlap the one before it;
+    rows seen twice do not change a max.  Each run's first row comes
+    from _deviation_rows, and then all K * runs runs step forward
+    together by F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b, so the
+    Python loop runs span - 1 times over whole-block vector operations.
+    The row b -> n*[b > v] is the window at n - v of one array of length
+    2n + 1.  The sweep needs only |F| + n <= n^2/4 + n in range, so it
+    runs in the narrowest of int16 (n <= 360), int32 (n <= 92679) and
+    int64 that holds that, whatever dtype the closed-form rows needed.
     """
-    span, starts = _run_starts(n)
-    f = _deviation_rows(_inverses(images), starts)
-    if f.dtype != np.int32 and n * n // 4 + n < 2**31:
-        f = f.astype(np.int32)  # the sweep needs only |F| + n < 2^31
+    cells = max(1, images.shape[0]) * (n + 1)    # one run of each row
+    runs = min(_SEGMENTS, max(_MIN_RUNS, -(-_BLOCK_CELLS // cells)))
+    span, starts = _run_starts(n, runs)
+    bound = n * n // 4 + n
+    dtype = next(t for t in (np.int16, np.int32, np.int64)
+                 if bound <= np.iinfo(t).max)
+    f = _deviation_rows(_inverses(images), starts).astype(dtype, copy=False)
     b_row = np.arange(n + 1, dtype=f.dtype)
     steps = np.zeros(2 * n + 1, dtype=f.dtype)
     steps[n + 1:] = n

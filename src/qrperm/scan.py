@@ -36,7 +36,7 @@ from .cfrac import (_convergents_upto, _parse_bound, cf_of_quadratic,
 from .discrepancy import _d_star_many, _rows_per_call, d_star
 from .errors import QrpermError
 from .expsums import _walks
-from .families import _params, sos_perm
+from .families import _params, _sos_perm
 from .modular import is_prime
 from .quadirr import QuadraticIrrational, parse_alpha
 from .ranksets import a_set, discrelation_holds, gap_check, max_prefix_star
@@ -141,10 +141,11 @@ def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
     of psi_k, and inverting sigma transposes F(a, b) = n*|sigma([0,a))
     cap [0,b)| - a*b, so max |F| is unchanged.  Negation k -> p - k is
     not a D* symmetry.  The images k*s mod p of the representatives
-    k <= k^-1 are built directly, with no Permutation, and the D* kernel
-    sweeps as many of them per call as discrepancy._rows_per_call(p)
-    allows.  Primes go to the pool largest first, since the cost per
-    prime grows like p^3."""
+    k <= k^-1 are built directly, with no Permutation, and go to the D*
+    kernel in chunks of discrepancy._rows_per_call(p): one call for all
+    (p + 1)/2 of them up to p = 251 and at most four below 500, each
+    sweeping a few long runs per permutation.  Primes go to the pool
+    largest first, since the cost per prime grows like p^3."""
     points = [p for p in range(pmax, max(pmin, 3) - 1, -1) if is_prime(p)]
     return _scan(_psi_prime, points, workers)
 
@@ -201,20 +202,25 @@ def scan_gauss(pmin: int, pmax: int, a_values=(1,),
 
 # ---------------------------------------------------------------- sos scan
 
-def _scan_sos_perm(n: int, alpha):
+def _scan_sos_perm(n: int, alpha, cf=None):
     """sos_perm(n, alpha) as every scan ranks it: the honest ties of a
-    rational alpha, from n = its denominator on, go to the smaller s."""
-    return sos_perm(n, alpha, tie_break=True)
+    rational alpha, from n = its denominator on, go to the smaller s.
+    cf, if given, is alpha's expansion (_expansion), not expanded
+    again."""
+    return _sos_perm(n, alpha, True, cf)
 
 
-def _cf_profile(alpha, n: int) -> tuple[int, int, int]:
-    """(m, sum, max) of the partial quotients a_1..a_m where m is the
-    last index whose convergent denominator is still <= n."""
+def _expansion(alpha):
+    """The continued fraction of alpha, rational or quadratic."""
     if isinstance(alpha, QuadraticIrrational):
-        cf = cf_of_quadratic(alpha)
-    else:
-        alpha = Fraction(alpha)
-        cf = cf_of_rational(alpha.numerator, alpha.denominator)
+        return cf_of_quadratic(alpha)
+    alpha = Fraction(alpha)
+    return cf_of_rational(alpha.numerator, alpha.denominator)
+
+
+def _cf_profile(cf, n: int) -> tuple[int, int, int]:
+    """(m, sum, max) of the partial quotients a_1..a_m of cf where m is
+    the last index whose convergent denominator is still <= n."""
     quots = [a for a, _, _ in _convergents_upto(cf, n)]
     return (len(quots), sum(quots), max(quots, default=0))
 
@@ -222,7 +228,8 @@ def _cf_profile(alpha, n: int) -> tuple[int, int, int]:
 def _sos_point(args: tuple[str, int]) -> list[ScanRecord]:
     label, n = args
     alpha = parse_alpha(label)
-    sigma = _scan_sos_perm(n, alpha)
+    cf = _expansion(alpha)      # once per point: the ranking and profile
+    sigma = _scan_sos_perm(n, alpha, cf)
     ds = d_star(sigma)
     prefix = max_prefix_star(alpha, sigma)
     log2n = math.log2(n) if n > 1 else 1.0
@@ -238,7 +245,7 @@ def _sos_point(args: tuple[str, int]) -> list[ScanRecord]:
         rec_f("sos-scan", n, pm, "discrelation_ratio",
               float(ds) / (2.0 * float(prefix.value))),
     ]
-    m, qsum, qmax = _cf_profile(alpha, n)
+    m, qsum, qmax = _cf_profile(cf, n)
     if m:
         out.append(rec_q("sos-scan", n, pm, "cf_quotient_sum", qsum,
                          float(ds) / (qsum + m)))

@@ -100,17 +100,40 @@ def _mixed_batch(n):
     return batch
 
 
+def _spy_runs(monkeypatch):
+    """The run counts _d_star_many asks _run_starts for, call by call."""
+    runs_seen = []
+    run_starts = discrepancy._run_starts
+
+    def spy(n, runs):
+        runs_seen.append(runs)
+        return run_starts(n, runs)
+
+    monkeypatch.setattr(discrepancy, "_run_starts", spy)
+    return runs_seen
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 101])
-def test_d_star_many_matches_d_star_on_mixed_batches(n):
+def test_d_star_many_matches_d_star_on_mixed_batches(n, monkeypatch):
     # one-row runs below 32, full runs at 32, an overlapping last run at
-    # 33 and 101; every prefix of the batch is a batch too
+    # 33 and 101; every prefix of the batch is a batch too.  The batch
+    # tiled to K rows, K the least with a (K, _MIN_RUNS, n + 1) block of
+    # at least _BLOCK_CELLS, sweeps _MIN_RUNS runs, whose last one
+    # overlaps at 31, 33 and 101.
     batch = _mixed_batch(n)
     images = np.array([sigma.image for sigma in batch])
     want = [d_star(sigma) for sigma in batch]
+    runs_seen = _spy_runs(monkeypatch)
     for k in (1, 2, len(batch)):
         got = _d_star_many(images[:k], n)
         assert got.dtype == np.int64
         assert [Fraction(int(v), n) for v in got] == want[:k]
+    assert runs_seen == [discrepancy._SEGMENTS] * 3
+    k = -(-discrepancy._BLOCK_CELLS // (discrepancy._MIN_RUNS * (n + 1)))
+    tiled = np.resize(images, (k, n))
+    got = _d_star_many(tiled, n)
+    assert runs_seen[-1] == discrepancy._MIN_RUNS
+    assert [Fraction(int(v), n) for v in got] == (want * k)[:k]
     if n <= 12:
         assert want == [oracle_d_star_cubic(sigma) for sigma in batch]
     else:
@@ -120,7 +143,7 @@ def test_d_star_many_matches_d_star_on_mixed_batches(n):
 @pytest.mark.parametrize("p", [101, 251])
 def test_psi_scan_kernel_rows_and_chunks(p, monkeypatch):
     # the rows the psi scan hands the kernel are psi_k's images, one per
-    # pair representative k <= k^-1, in chunks of 4096 // (p + 1)
+    # pair representative k <= k^-1, in chunks of _rows_per_call(p)
     seen = []
     kernel = scan._d_star_many
 
@@ -131,16 +154,27 @@ def test_psi_scan_kernel_rows_and_chunks(p, monkeypatch):
     monkeypatch.setattr(scan, "_d_star_many", spy)
     devs = scan._psi_devs(p)
     reps = [k for k in range(1, p) if pow(k, -1, p) >= k]
-    assert [len(rows) for rows in seen[:-1]] == [4096 // (p + 1)] * (
-        len(seen) - 1)
+    chunk = discrepancy._rows_per_call(p)
+    assert [len(rows) for rows in seen] == [
+        min(chunk, len(reps) - i) for i in range(0, len(reps), chunk)]
     rows = np.concatenate(seen)
     assert rows.tolist() == [list(psi(p, k).image) for k in reps]
     assert devs == [p * d_star(psi(p, k)) for k in range(1, p)]
-    # chunks of 1, 3 and 7 cut the pair list elsewhere, also mid-list;
-    # every value stays as it was
-    for chunk in (1, 3, 7):
-        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", chunk * (p + 1))
+    # smaller blocks cut the pair list into chunks of 1, 7, 10, 25 and
+    # 32, also mid-list, and the calls sweep _MIN_RUNS runs, 32 (a last
+    # chunk of one row) and counts between; every value stays as it was
+    runs_seen = _spy_runs(monkeypatch)
+    for cells in (4, 28, 40, 100, 128):
+        seen.clear()
+        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", cells * (p + 1))
         assert scan._psi_devs(p) == devs
+        assert len(seen) > 1
+        assert {len(rows) for rows in seen[:-1]} == {
+            discrepancy._rows_per_call(p)}
+    assert min(runs_seen) == discrepancy._MIN_RUNS
+    assert max(runs_seen) == discrepancy._SEGMENTS
+    assert any(discrepancy._MIN_RUNS < r < discrepancy._SEGMENTS
+               for r in runs_seen)
 
 
 # ----------------------------------------------------------------- d_exact
@@ -185,11 +219,8 @@ def test_deviation_rows_dtype_boundary():
         assert _deviation_rows(inv, np.arange(1)).dtype == dtype
 
 
-def test_d_star_int32_sweep_past_the_row_boundary(monkeypatch):
-    # the first n with int64 closed-form rows; d_star casts them to an
-    # int32 sweep, whose |F| + n stays below 2^31.  Identity's F(a, a)
-    # peaks at (n^2 - 1)/4 near a = n/2, where n*count > 2^31 already.
-    # The spy sees the dtype of the step rows, which is the sweep's.
+def _spy_sweep_dtypes(monkeypatch):
+    """The dtype of each kernel call's step rows, which is its sweep's."""
     seen = []
     window = discrepancy.sliding_window_view
 
@@ -198,9 +229,37 @@ def test_d_star_int32_sweep_past_the_row_boundary(monkeypatch):
         return window(steps, width)
 
     monkeypatch.setattr(discrepancy, "sliding_window_view", spy)
+    return seen
+
+
+def test_d_star_int32_sweep_past_the_row_boundary(monkeypatch):
+    # the first n with int64 closed-form rows; d_star casts them to an
+    # int32 sweep, whose |F| + n stays below 2^31.  Identity's F(a, a)
+    # peaks at (n^2 - 1)/4 near a = n/2, where n*count > 2^31 already.
+    seen = _spy_sweep_dtypes(monkeypatch)
     n = 46341
     assert d_star(identity_perm(n)) == Fraction(n * n - 1, 4 * n)
     assert seen == [np.int32]
+
+
+def test_d_star_int16_sweep_up_to_n_360(monkeypatch):
+    # |F| + n <= n^2/4 + n < 2^15 exactly up to n = 360, so the sweep is
+    # int16 there and int32 from 361 on, cast from int32 closed-form
+    # rows.  Identity and reversal reach |F| = floor(n^2/4), at F(a, a)
+    # and F(a, n - a) near a = n/2.
+    seen = _spy_sweep_dtypes(monkeypatch)
+    for n, dtype in ((360, np.int16), (361, np.int32)):
+        for sigma in (identity_perm(n), reversal_perm(n)):
+            seen.clear()
+            ds = d_star(sigma)
+            assert seen == [dtype]
+            assert ds == oracle_d_star(sigma) == Fraction(n * n // 4, n)
+        batch = _mixed_batch(n)
+        seen.clear()
+        got = _d_star_many(np.array([sigma.image for sigma in batch]), n)
+        assert seen == [dtype]
+        assert [Fraction(int(v), n) for v in got] == [
+            d_star(sigma) for sigma in batch]
 
 
 # ------------------------------------------------------------- real star
