@@ -29,6 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import QrpermError
 from .quadirr import QuadraticIrrational, floor_surd
@@ -98,6 +99,13 @@ def cf_of_rational(num: int, den: int) -> ContinuedFraction:
 
 def cf_of_quadratic(alpha: QuadraticIrrational) -> ContinuedFraction:
     """Expansion of a quadratic irrational with exact period detection."""
+    return _expand_quadratic(alpha)
+
+
+# a Sos scan point reads alpha's expansion twice, in the three-distance
+# walk and in its quotient profile; both values are frozen
+@lru_cache(maxsize=64)
+def _expand_quadratic(alpha: QuadraticIrrational) -> ContinuedFraction:
     # normalize to (P + sqrt(D)) / Q with the sqrt coefficient +1
     if alpha.b > 0:
         p_, d_, q_ = alpha.a, alpha.b * alpha.b * alpha.d, alpha.c

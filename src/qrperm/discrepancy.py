@@ -28,10 +28,10 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     vector operations.  The sweep is one kernel,
                     _d_star_many(images, n), which steps the runs of K
                     permutations together; d_star is its K = 1 call.
-                    One rule sets the run count: the fewest runs, from
+                    One rule sets the run count: the most runs, from
                     _MIN_RUNS = 4 to _SEGMENTS = 32, whose
-                    (K, runs, n + 1) block reaches _BLOCK_CELLS, so one
-                    permutation gets 32 runs up to n = 4227, and a large
+                    (K, runs, n + 1) block fits in _BLOCK_CELLS, so one
+                    permutation gets 32 runs up to n = 4095, and a large
                     batch gets fewer, longer runs and so fewer
                     closed-form rows.  _rows_per_call(n) says how many
                     permutations to pass at once: as many as fill the
@@ -123,9 +123,11 @@ def _d_star_many(images: np.ndarray, n: int) -> np.ndarray:
 
     Rows 0..n-1 of each F are cut into runs of span = ceil(n / runs)
     rows (row n is zero), where runs = min(_SEGMENTS, max(_MIN_RUNS,
-    ceil(_BLOCK_CELLS / (K * (n + 1))))): the fewest runs whose
-    (K, runs, n + 1) block reaches _BLOCK_CELLS, so 32 for one
-    permutation up to n = 4227 and fewer, longer runs for a large batch.
+    _BLOCK_CELLS // (K * (n + 1)))): the most runs whose (K, runs,
+    n + 1) block fits in _BLOCK_CELLS, so 32 for one permutation up to
+    n = 4095 and fewer, longer runs for a large batch.  Only a batch of
+    more than _rows_per_call(n) permutations, or one above n = 32767,
+    needs the _MIN_RUNS floor and overruns the block.
     The last run starts at n - span and may overlap the one before it;
     rows seen twice do not change a max.  Each run's first row comes
     from _deviation_rows, and then all K * runs runs step forward
@@ -137,7 +139,7 @@ def _d_star_many(images: np.ndarray, n: int) -> np.ndarray:
     int64 that holds that, whatever dtype the closed-form rows needed.
     """
     cells = max(1, images.shape[0]) * (n + 1)    # one run of each row
-    runs = min(_SEGMENTS, max(_MIN_RUNS, -(-_BLOCK_CELLS // cells)))
+    runs = min(_SEGMENTS, max(_MIN_RUNS, _BLOCK_CELLS // cells))
     span, starts = _run_starts(n, runs)
     bound = n * n // 4 + n
     dtype = next(t for t in (np.int16, np.int32, np.int64)

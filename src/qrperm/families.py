@@ -174,18 +174,10 @@ def sos_perm(n: int, alpha, tie_break: bool = False) -> Permutation:
     without tie_break that raises AmbiguousOrderError naming a
     colliding pair, with tie_break=True the smaller s ranks first.
     """
-    return _sos_perm(n, alpha, tie_break)
-
-
-def _sos_perm(n: int, alpha, tie_break: bool, cf=None) -> Permutation:
-    """sos_perm; cf, if given, is alpha's continued fraction, which the
-    walk of an irrational alpha then reads instead of expanding alpha."""
     if n < 1:
         raise QrpermError("n must be >= 1")
     if isinstance(alpha, QuadraticIrrational):
-        if cf is None:
-            cf = cf_of_quadratic(alpha)
-        order = _sorted_exact_irrational(n, alpha, cf)
+        order = _sorted_exact_irrational(n, alpha)
     else:
         alpha = Fraction(alpha)
         num, den = alpha.numerator, alpha.denominator
@@ -203,8 +195,7 @@ def _sos_perm(n: int, alpha, tie_break: bool, cf=None) -> Permutation:
                        _params(n=n, alpha=alpha_label(alpha)))
 
 
-def _sorted_exact_irrational(n: int, alpha: QuadraticIrrational,
-                             cf) -> list[int]:
+def _sorted_exact_irrational(n: int, alpha: QuadraticIrrational) -> list[int]:
     """1..n sorted by {s*alpha}: Sos (1958), Swierczkowski (1959).
 
     p1, pN = argmin, argmax of {q*alpha} over q <= n are the last
@@ -215,10 +206,10 @@ def _sorted_exact_irrational(n: int, alpha: QuadraticIrrational,
     -floor(pN*alpha) - 1 or their sum, and is never below that.  With
     p1 + pN > n a walk over all of 1..n ends at pN and takes n - p1,
     n - pN and p1 + pN - n - 1 steps of the kinds; its total excess
-    p1*(floor(pN*alpha) + 1) - pN*floor(p1*alpha) - 1 must be 0.  The
-    convergents come from cf, the continued fraction of alpha.
+    p1*(floor(pN*alpha) + 1) - pN*floor(p1*alpha) - 1 must be 0.
     """
-    dens = [0, 1] + [q for _, _, q in _convergents_upto(cf, n)]
+    dens = [0, 1] + [q for _, _, q in
+                     _convergents_upto(cf_of_quadratic(alpha), n)]
     q_prev, q = dens[-2:]
     semi = q_prev + (n - q_prev) // q * q
     p1, pn = (q, semi) if frac_compare(alpha, q, semi) < 0 else (semi, q)

@@ -36,7 +36,7 @@ from .cfrac import (_convergents_upto, _parse_bound, cf_of_quadratic,
 from .discrepancy import _d_star_many, _rows_per_call, d_star
 from .errors import QrpermError
 from .expsums import _walks
-from .families import _params, _sos_perm
+from .families import _params, sos_perm
 from .modular import is_prime
 from .quadirr import QuadraticIrrational, parse_alpha
 from .ranksets import a_set, discrelation_holds, gap_check, max_prefix_star
@@ -202,25 +202,20 @@ def scan_gauss(pmin: int, pmax: int, a_values=(1,),
 
 # ---------------------------------------------------------------- sos scan
 
-def _scan_sos_perm(n: int, alpha, cf=None):
+def _scan_sos_perm(n: int, alpha):
     """sos_perm(n, alpha) as every scan ranks it: the honest ties of a
-    rational alpha, from n = its denominator on, go to the smaller s.
-    cf, if given, is alpha's expansion (_expansion), not expanded
-    again."""
-    return _sos_perm(n, alpha, True, cf)
+    rational alpha, from n = its denominator on, go to the smaller s."""
+    return sos_perm(n, alpha, tie_break=True)
 
 
-def _expansion(alpha):
-    """The continued fraction of alpha, rational or quadratic."""
+def _cf_profile(alpha, n: int) -> tuple[int, int, int]:
+    """(m, sum, max) of the partial quotients a_1..a_m where m is the
+    last index whose convergent denominator is still <= n."""
     if isinstance(alpha, QuadraticIrrational):
-        return cf_of_quadratic(alpha)
-    alpha = Fraction(alpha)
-    return cf_of_rational(alpha.numerator, alpha.denominator)
-
-
-def _cf_profile(cf, n: int) -> tuple[int, int, int]:
-    """(m, sum, max) of the partial quotients a_1..a_m of cf where m is
-    the last index whose convergent denominator is still <= n."""
+        cf = cf_of_quadratic(alpha)
+    else:
+        alpha = Fraction(alpha)
+        cf = cf_of_rational(alpha.numerator, alpha.denominator)
     quots = [a for a, _, _ in _convergents_upto(cf, n)]
     return (len(quots), sum(quots), max(quots, default=0))
 
@@ -228,8 +223,7 @@ def _cf_profile(cf, n: int) -> tuple[int, int, int]:
 def _sos_point(args: tuple[str, int]) -> list[ScanRecord]:
     label, n = args
     alpha = parse_alpha(label)
-    cf = _expansion(alpha)      # once per point: the ranking and profile
-    sigma = _scan_sos_perm(n, alpha, cf)
+    sigma = _scan_sos_perm(n, alpha)
     ds = d_star(sigma)
     prefix = max_prefix_star(alpha, sigma)
     log2n = math.log2(n) if n > 1 else 1.0
@@ -245,7 +239,7 @@ def _sos_point(args: tuple[str, int]) -> list[ScanRecord]:
         rec_f("sos-scan", n, pm, "discrelation_ratio",
               float(ds) / (2.0 * float(prefix.value))),
     ]
-    m, qsum, qmax = _cf_profile(cf, n)
+    m, qsum, qmax = _cf_profile(alpha, n)
     if m:
         out.append(rec_q("sos-scan", n, pm, "cf_quotient_sum", qsum,
                          float(ds) / (qsum + m)))

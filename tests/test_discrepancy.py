@@ -117,9 +117,9 @@ def _spy_runs(monkeypatch):
 def test_d_star_many_matches_d_star_on_mixed_batches(n, monkeypatch):
     # one-row runs below 32, full runs at 32, an overlapping last run at
     # 33 and 101; every prefix of the batch is a batch too.  The batch
-    # tiled to K rows, K the least with a (K, _MIN_RUNS, n + 1) block of
-    # at least _BLOCK_CELLS, sweeps _MIN_RUNS runs, whose last one
-    # overlaps at 31, 33 and 101.
+    # tiled to _rows_per_call(n) rows fills the block at _MIN_RUNS runs
+    # and sweeps exactly that many, whose last one overlaps at 31, 33
+    # and 101.
     batch = _mixed_batch(n)
     images = np.array([sigma.image for sigma in batch])
     want = [d_star(sigma) for sigma in batch]
@@ -129,7 +129,7 @@ def test_d_star_many_matches_d_star_on_mixed_batches(n, monkeypatch):
         assert got.dtype == np.int64
         assert [Fraction(int(v), n) for v in got] == want[:k]
     assert runs_seen == [discrepancy._SEGMENTS] * 3
-    k = -(-discrepancy._BLOCK_CELLS // (discrepancy._MIN_RUNS * (n + 1)))
+    k = discrepancy._rows_per_call(n)
     tiled = np.resize(images, (k, n))
     got = _d_star_many(tiled, n)
     assert runs_seen[-1] == discrepancy._MIN_RUNS

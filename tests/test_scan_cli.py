@@ -111,21 +111,15 @@ def test_scan_sos_worker_counts_and_schema():
             assert r.value == want
 
 
-def test_sos_point_expands_alpha_once(monkeypatch):
+def test_sos_point_expands_alpha_once():
     # the three-distance walk and the quotient profile read one expansion
-    import qrperm.families as families_mod
+    import qrperm.cfrac as cfrac_mod
     import qrperm.scan as scan_mod
-    calls = []
-    real = scan_mod.cf_of_quadratic
-
-    def counting(alpha):
-        calls.append(alpha)
-        return real(alpha)
-
-    for mod in (scan_mod, families_mod):
-        monkeypatch.setattr(mod, "cf_of_quadratic", counting)
+    expand = cfrac_mod._expand_quadratic
+    expand.cache_clear()
     records = scan_mod._sos_point(("golden", 2048))
-    assert calls == [golden()]
+    info = expand.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
     by_stat = {r.statistic: r.value for r in records}
     assert by_stat["dstar"] == d_star(sos_perm(2048, golden()))
     assert by_stat["cf_max_quotient"] == 1
@@ -571,14 +565,14 @@ def test_cli_obryant_rejects_n_below_one(capsys):
 def test_cli_obryant_ranks_only_the_printed_prefix(monkeypatch, capsys):
     import qrperm.scan as scan_mod
     built = []
-    real = scan_mod._sos_perm
+    real = scan_mod.sos_perm
 
-    def recording(n, alpha, *args):
+    def recording(n, alpha, **kw):
         built.append(n)
-        return real(n, alpha, *args)
+        return real(n, alpha, **kw)
 
     # the scan ranks all 30 first, then --n ranks only its prefix
-    monkeypatch.setattr(scan_mod, "_sos_perm", recording)
+    monkeypatch.setattr(scan_mod, "sos_perm", recording)
     for n, want in (("5", 5), ("40", 30)):
         assert main(["obryant", "--alpha", "golden", "--limit", "30",
                      "--n", n]) == 0
