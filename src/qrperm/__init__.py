@@ -10,8 +10,7 @@ from .cfrac import (AverageCheck, ContinuedFraction, ZarembaResult,
                     bounded_average_check, cf_of_quadratic, cf_of_rational,
                     continuant, convergents, zaremba_search)
 from .discrepancy import (DiscrepancyReport, build_report, d_exact, d_star,
-                          min_hitting_length, real_star_disc,
-                          verify_interval_hits)
+                          min_hitting_length, verify_interval_hits)
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
                      InvalidModulusError, NotAPermutationError,
                      NotAUnitError, QrpermError, SizeRefusedError)

@@ -49,10 +49,6 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     intervals to non-wrapping ones, so the non-wrapping
                     pairs i < j suffice.  Cubic; the size cap refuses
                     anything above it.
-
-real_star_disc handles finite multisets in [0, 1).  For a finite set
-the closed [0, x] and half-open [0, x) conventions have the same
-supremum, so it returns that one value.
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import QrpermError, SizeRefusedError
+from .errors import SizeRefusedError
 from .families import Permutation
 from .intervals import Interval
 
@@ -187,21 +183,6 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
         rows = np.subtract(f[j], f[:j], out=diff[:j])
         best = max(best, int(np.ptp(rows, axis=1).max()))
     return Fraction(best, n)
-
-
-def real_star_disc(points):
-    """Star discrepancy sup_x |#{p <= x} - m*x| of a finite multiset of
-    m points in [0, 1): exact if the points are Fractions, float if they
-    are floats, 0 if there are none.  The sup over [0, x) is the same
-    number: both are the max over the sorted points v_i of |i - m*v_i|
-    and |i + 1 - m*v_i| (within a run of equal points |c - m*v| is
-    largest at the run's ends, so every index may serve)."""
-    pts = sorted(points)
-    m = len(pts)
-    if pts and (pts[0] < 0 or pts[-1] >= 1):
-        raise QrpermError("points must lie in [0, 1)")
-    return max((max(abs(i - m * v), abs(i + 1 - m * v))
-                for i, v in enumerate(pts)), default=0)
 
 
 def _ceil_sqrt(x) -> int:

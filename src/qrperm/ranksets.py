@@ -18,13 +18,38 @@ with L = ceil(sqrt(32*n*D)) for a supplied discrepancy upper bound D.
 
 Prefix star discrepancy: prefix_star_nums gives the star discrepancy of
 every prefix of a point sequence in one sweep over the rank-indexed
-count matrix G(s, b) = #{q < s : rank_q < b}.  Its rows step together
-in d_star's runs and its columns go in blocks of _PREFIX_BLOCK, so it
-costs O(n^2) time and O(n) + O(block) memory, and gives the bits of a
+count matrix G(s, b) = #{q < s : rank_q < b}.  The sweep itself is
+_prefix_star_rows, which evaluates any set of rows given as runs of
+consecutive rows: prefix_star_nums is its all-rows call, in d_star's
+runs.  Columns go in blocks of _PREFIX_BLOCK, so a sweep costs O(n^2)
+time and O(n) + O(block) memory, and every row has the bits of a
 per-prefix loop.  max_prefix_star runs it over the Kronecker sequence
 {s*alpha}, and discrelation_holds decides D*(beta_alpha) <= 2 * that
 maximum exactly: with Fractions for rational alpha, in surd arithmetic
 at the winning box for irrational alpha.
+
+Irrational alpha takes two steps, and keeps the bits of one float sweep.
+
+  Keys from the walk.  If s' follows s in the order of {s*alpha}, then
+  {s'alpha} = {s alpha} + {(s' - s)alpha} - carry with carry in {0, 1},
+  and {s'alpha} > {s alpha} forces carry = 0: floor(s'alpha) =
+  floor(s alpha) + floor((s' - s)alpha).  The three-distance theorem
+  leaves at most three steps s' - s, so a few exact floor_multiple calls
+  and one cumsum give every floor; a wrong order has a carry of 1
+  somewhere, which one more floor_multiple at the last point detects.
+  The key ((a*s - c*fl) + (b*s)*sqrt(d)) / c then repeats frac_float's
+  IEEE operations in numpy.
+
+  A fixed-point filter.  With 2^k*(n + 1) < 2^31 and R = floor(y*2^k)
+  (exact: the scaling is), prefix_star_nums(ranks, R, 2^k) sweeps in
+  int32.  Each of its boxes is 2^k*G - s*R = 2^k*(G - s*y) + s*(2^k*y -
+  R), within s <= n of 2^k times the exact box at the keys, and the
+  float box is within n*2^-52 of that (two roundings of numbers of size
+  at most n), which 2^k scales below 2^-21.  So every fixed entry is
+  within n + 1 of 2^k times the float entry, and the float maximum and
+  every row tied with it have fixed entries >= max - 2(n + 1).  Those
+  candidate rows, each its own run, are evaluated in float64 by the
+  same kernel.
 """
 
 from __future__ import annotations
@@ -37,13 +62,14 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .discrepancy import _ceil_sqrt, _run_starts
+from .discrepancy import _SEGMENTS, _ceil_sqrt, _run_starts
 from .errors import QrpermError, SizeRefusedError
 from .families import Permutation
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
-                      frac_float, sign_of_surd)
+                      sign_of_surd)
 
 _PREFIX_BLOCK = 1024  # columns per block of the prefix-star sweep
+_FIXED_BITS = 31      # the fixed-point filter sweeps in int32
 
 
 def _earlier_smaller(values) -> np.ndarray:
@@ -134,15 +160,48 @@ class PrefixStar:
     box: tuple[int, int]
 
 
-def _prefix_points(alpha, n: int) -> tuple[list, int]:
-    """The points {s*alpha}, s = 1..n, as (r, den): exact residues over
-    the denominator for rational alpha, frac_float keys with den = 1
-    for irrational alpha."""
-    if isinstance(alpha, QuadraticIrrational):
-        return [frac_float(alpha, s) for s in range(1, n + 1)], 1
-    alpha = Fraction(alpha)
-    den = alpha.denominator
-    return [alpha.numerator * s % den for s in range(1, n + 1)], den
+def _refuse_wide(den: int, n: int):
+    """The exact integer sweep holds den*(n + 1) below 2^62."""
+    if den * (n + 1) >= 2**62:
+        raise SizeRefusedError("denominator too large for the exact "
+                               "integer sweep")
+
+
+def _prefix_points(alpha, ranks) -> tuple[np.ndarray, int]:
+    """The points {s*alpha}, s = 1..n, as (r, den), where ranks (beta's
+    image) orders them: int64 residues ((num mod den)*s) mod den for
+    rational alpha; for irrational alpha, frac_float's keys with den = 1,
+    from floors chained along the order (see the module docstring).  An
+    order that is not that of {s*alpha} raises QrpermError."""
+    g = np.asarray(ranks, dtype=np.int64)
+    n = len(g)
+    s = np.arange(1, n + 1, dtype=np.int64)
+    if not isinstance(alpha, QuadraticIrrational):
+        alpha = Fraction(alpha)
+        den = alpha.denominator
+        _refuse_wide(den, n)
+        return alpha.numerator % den * s % den, den
+    a, b, d, c = alpha.a, alpha.b, alpha.d, alpha.c
+    # |a*s|, |b*s|, |c*floor(s*alpha)| and their sums stay below this
+    if (abs(a) + abs(b) * (math.isqrt(d) + 1) + c) * (n + 1) >= 2**62:
+        raise SizeRefusedError(f"alpha={alpha_label(alpha)}: too large for "
+                               f"int64 floors at n = {n}")
+    order = np.empty(n, dtype=np.int64)
+    order[g] = s
+    # the distinct steps without np.unique, which imports numpy.ma
+    # (1.7 MB of resident memory)
+    diffs = np.diff(order)
+    steps = sorted(set(diffs.tolist()))
+    fl = np.empty(n, dtype=np.int64)
+    fl[0] = floor_multiple(alpha, int(order[0]))
+    fl[1:] = np.array([floor_multiple(alpha, t) for t in steps],
+                      dtype=np.int64)[np.searchsorted(steps, diffs)]
+    np.cumsum(fl, out=fl)
+    if fl[-1] != floor_multiple(alpha, int(order[-1])):
+        raise QrpermError(f"beta is not ordered by {{s*alpha}} for "
+                          f"alpha={alpha_label(alpha)}")
+    fl = fl[g]
+    return ((a * s - c * fl) + (b * s) * math.sqrt(d)) / c, 1
 
 
 def _row_boxes(ranks, r, den: int, s: int):
@@ -160,24 +219,49 @@ def _row_boxes(ranks, r, den: int, s: int):
     return vals, qs, np.concatenate((cnt, cnt - 1))
 
 
+def _fixed_nums(ranks, y) -> tuple[np.ndarray, int]:
+    """(prefix_star_nums(ranks, floor(y * 2^k), 2^k), 2^k) for float
+    keys y in [0, 1), k the largest with 2^k*(n + 1) < 2^_FIXED_BITS:
+    an int32 sweep whose entries are within n + 1 of 2^k times the
+    float sweep's (module docstring)."""
+    n = len(y)
+    scale = 1 << (((1 << _FIXED_BITS) - 1) // (n + 1)).bit_length() - 1
+    return prefix_star_nums(ranks, np.floor(y * scale).astype(np.int64),
+                            scale), scale
+
+
 def max_prefix_star(alpha, beta: Permutation) -> PrefixStar:
     """Star discrepancy of every prefix of ({s*alpha})_{s<=n}, maximised.
 
     beta is sos_perm(n, alpha), with or without tie_break; any other
-    beta is refused.  Its exact order drives one prefix_star_nums sweep
-    over the residues (rational alpha: an exact Fraction) or over the
-    frac_float keys with den = 1 (irrational alpha: their few-ulp error
-    is far below the 1/n**2 gap floor, so ~1e-11 absolute).
+    beta is refused.  Rational alpha: one prefix_star_nums sweep over
+    the residues, an exact Fraction.  Irrational alpha: the values of a
+    float64 sweep over the frac_float keys with den = 1 (their few-ulp
+    error is far below the 1/n**2 gap floor, so ~1e-11 absolute), bit
+    for bit, from the int32 fixed-point filter and the float rows of
+    its candidates plus row n; argmax_s is the first maximum either way.
     """
     label = alpha_label(alpha)
     if beta.family != "sos" or beta.param_dict().get("alpha") != label:
         raise QrpermError(f"beta is not the Sos ranking of alpha={label}")
-    r, den = _prefix_points(alpha, beta.n)
-    nums = prefix_star_nums(beta.image, r, den)
-    best_s = int(np.argmax(nums)) + 1  # first maximum, smallest s
-    value, final = nums[best_s - 1].item(), nums[-1].item()
-    if not isinstance(alpha, QuadraticIrrational):
-        value, final = Fraction(value, den), Fraction(final, den)
+    n = beta.n
+    r, den = _prefix_points(alpha, beta.image)
+    if isinstance(alpha, QuadraticIrrational):
+        fixed, _ = _fixed_nums(beta.image, r)
+        # a row outside the candidates is below the float maximum, so
+        # the first maximum over these rows is the sweep's
+        keep = fixed >= fixed.max() - 2 * (n + 1)
+        keep[-1] = True  # row n gives final
+        rows = np.flatnonzero(keep)
+        nums = _prefix_star_rows(beta.image, r, den, rows[None, :])[0]
+        i = int(np.argmax(nums))
+        best_s, value, final = int(rows[i]) + 1, nums[i].item(), \
+            nums[-1].item()
+    else:
+        nums = prefix_star_nums(beta.image, r, den)
+        best_s = int(np.argmax(nums)) + 1  # first maximum, smallest s
+        value = Fraction(nums[best_s - 1].item(), den)
+        final = Fraction(nums[-1].item(), den)
     vals, qs, counts = _row_boxes(beta.image, r, den, best_s)
     i = int(np.argmax(vals))
     return PrefixStar(value, best_s, final, (int(qs[i]), int(counts[i])))
@@ -205,7 +289,11 @@ def discrelation_holds(alpha, beta: Permutation, ds: Fraction,
     arithmetic.  Every float box value is within tol of its exact value
     (frac_float's error, times s, plus rounding); so if that box fails,
     only boxes within tol of ds/2 can pass, and when prefix.value itself
-    is that close the sweep is rerun to decide each of them exactly.
+    is that close, each of them is decided exactly.  They lie in the
+    rows whose float entry is >= low = ds/2 - tol; those rows have
+    fixed-point entries >= 2^k*low - (n + 1), so the rows at or above
+    2^k*low - (n + 2) are evaluated in float64, and each box of a row
+    at or above low is decided in surd arithmetic.
     """
     if not isinstance(alpha, QuadraticIrrational):
         return ds <= 2 * prefix.value
@@ -217,9 +305,11 @@ def discrelation_holds(alpha, beta: Permutation, ds: Fraction,
     low = float(ds) / 2 - tol
     if prefix.value < low:
         return False
-    r, den = _prefix_points(alpha, n)
-    nums = prefix_star_nums(beta.image, r, den)
-    for s in np.flatnonzero(nums >= low) + 1:
+    r, den = _prefix_points(alpha, beta.image)
+    fixed, scale = _fixed_nums(beta.image, r)
+    rows = np.flatnonzero(fixed >= scale * low - (n + 2))
+    nums = _prefix_star_rows(beta.image, r, den, rows[None, :])[0]
+    for s in rows[nums >= low] + 1:
         vals, qs, counts = _row_boxes(beta.image, r, den, int(s))
         for i in np.flatnonzero(vals >= low):
             if _box_reaches(alpha, int(s), int(qs[i]), int(counts[i]), ds):
@@ -231,7 +321,24 @@ def prefix_star_nums(ranks, r, den: int) -> np.ndarray:
     """Star discrepancy (count scale) of every prefix of the points
     r[q] / den, r[q] in [0, den), times den; entry s - 1 covers the
     first s points.  ranks orders the points as r does, ties broken
-    either way.
+    either way.  The all-rows call of _prefix_star_rows, in d_star's
+    _run_starts runs; int32 wherever den*(n + 1) < 2^31.
+    """
+    n = len(r)
+    _refuse_wide(den, n)
+    out = np.empty(n, dtype=np.asarray(r).dtype)
+    if n:
+        span, starts = _run_starts(n)
+        rows = starts + np.arange(span)[:, None]  # row a holds a + 1 points
+        out[rows] = _prefix_star_rows(ranks, r, den, rows)
+    return out
+
+
+def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
+    """Entries rows of prefix_star_nums(ranks, r, den), in the shape of
+    rows: a (span, runs) array whose column j is the run of consecutive
+    rows rows[0, j], rows[0, j] + 1, ...; a (1, m) array asks for m
+    single rows.
 
     Indexed by rank: y[b] is the r of the point of rank b and
     G(s, b) = #{q < s : rank_q < b}.  Entry s - 1 is the max over b of
@@ -242,23 +349,19 @@ def prefix_star_nums(ranks, r, den: int) -> np.ndarray:
     one above, and without such a point its value is <= 0.  So one
     counter serves both conventions and tied points.
 
-    Rows are cut into runs by d_star's _run_starts; each run's first row
-    is one cumsum, and the runs step together by
+    Each run's first row is one cumsum, and the runs step together by
     den*G += den*[b > rank(s)].  Columns go in blocks of _PREFIX_BLOCK,
-    each carrying its runs' counts at its left edge into the next, so
-    memory is O(n) plus O(_SEGMENTS * _PREFIX_BLOCK).  s*y is computed
-    afresh on every row, and fl(s*y) is monotone in y, so float r
-    (den = 1) gives the bits of a per-prefix loop.
+    each carrying its runs' counts at its left edge into the next, and
+    runs go in groups whose block stays within _SEGMENTS *
+    (_PREFIX_BLOCK + 1) cells, so memory is O(n) plus that block.  s*y
+    is computed afresh on every row, and fl(s*y) is monotone in y, so
+    float r (den = 1) gives the bits of a per-prefix loop, whatever the
+    runs.  den*(n + 1) < 2^62, as prefix_star_nums checks.
     """
     n = len(r)
-    if den * (n + 1) >= 2**62:
-        raise SizeRefusedError("denominator too large for the exact "
-                               "integer sweep")
     g = np.asarray(ranks, dtype=np.int64)
     r = np.asarray(r)
-    out = np.empty(n, dtype=r.dtype)
-    if n == 0:
-        return out
+    rows = np.asarray(rows, dtype=np.int64)
     # val is the dtype a per-prefix loop gives den*G - s*y.  den*G is
     # held in it where exact, so no step mixes dtypes; integer sweeps
     # narrow to int32 where |den*G - s*y| < den*(n + 1) fits.
@@ -267,49 +370,52 @@ def prefix_star_nums(ranks, r, den: int) -> np.ndarray:
         pdt, cnt = r.dtype, (val if den * (n + 1) < 2**53 else np.int64)
     else:
         pdt = cnt = val = np.int32 if den * (n + 1) < 2**31 else val
+    out = np.empty(rows.shape, dtype=val)
     inv = np.empty(n, dtype=np.int64)
     inv[g] = np.arange(n)
     y = r[inv].astype(pdt)
-    span, starts = _run_starts(n)
-    rows = starts + np.arange(span)[:, None]  # row a holds a + 1 points
-    runs, width = len(starts), min(_PREFIX_BLOCK, n)
-    a_col = starts[:, None]
-    s_col = (a_col + 1).astype(pdt)
+    span, width = len(rows), min(_PREFIX_BLOCK, n)
+    group = max(1, _SEGMENTS * (_PREFIX_BLOCK + 1) // (width + 1))
     # den*[b > v] on columns c0..c0+width is the window at n - v + c0
     steps = np.zeros(2 * n + width + 1, dtype=cnt)
     steps[n + 1:] = den
     step_rows = sliding_window_view(steps, width + 1)
-    at = n - g[rows]
-    left = np.zeros((runs, 1), dtype=cnt)  # den*G at the block's left edge
-    closed = np.empty((span, runs), dtype=val)
-    opened = np.empty((span, runs), dtype=val)
-    hbuf = np.empty(runs * (width + 1), dtype=cnt)
+    hbuf = np.empty(min(group, rows.shape[1]) * (width + 1), dtype=cnt)
     pbuf = np.empty_like(hbuf, dtype=val)
     ubuf = np.empty_like(hbuf, dtype=val)
-    best = None
-    for c0 in range(0, n, width):
-        w = min(width, n - c0)
-        # contiguous (runs, w + 1) blocks, also read flat: column w of p
-        # is padding, so closed boxes read den*G one cell to the right
-        k = runs * (w + 1)
-        hf, pf, uf = hbuf[:k], pbuf[:k], ubuf[:k]
-        h, p, u = (f.reshape(runs, w + 1) for f in (hf, pf, uf))
-        h[:, :1] = left  # h = den*G(s, c0..c0+w)
-        np.cumsum(inv[c0:c0 + w] <= a_col, axis=1, out=h[:, 1:])
-        h[:, 1:] *= den
-        h[:, 1:] += left
-        left = h[:, -1:].copy()
-        yb = np.zeros(w + 1, dtype=pdt)
-        yb[:w] = y[c0:c0 + w]
-        for t in range(span):
-            if t:
-                h += step_rows[at[t] + c0, :w + 1]
-            np.multiply(s_col + t, yb, out=p)
-            np.subtract(hf[1:], pf[:-1], out=uf[:-1])  # closed boxes
-            np.subtract(pf, hf, out=pf)                # open boxes
-            u[:, :w].max(axis=1, out=closed[t])
-            p[:, :w].max(axis=1, out=opened[t])
-        blk = np.maximum(closed, opened)
-        best = blk if best is None else np.maximum(best, blk, out=best)
-    out[rows] = best
+    for j in range(0, rows.shape[1], group):
+        part = rows[:, j:j + group]
+        runs = part.shape[1]
+        a_col = part[:1].T
+        s_col = (a_col + 1).astype(pdt)
+        at = n - g[part]
+        left = np.zeros((runs, 1), dtype=cnt)  # den*G at the left edge
+        closed = np.empty((span, runs), dtype=val)
+        opened = np.empty((span, runs), dtype=val)
+        best = None
+        for c0 in range(0, n, width):
+            w = min(width, n - c0)
+            # contiguous (runs, w + 1) blocks, also read flat: column w
+            # of p is padding, so closed boxes read den*G one cell right
+            k = runs * (w + 1)
+            hf, pf, uf = hbuf[:k], pbuf[:k], ubuf[:k]
+            h, p, u = (f.reshape(runs, w + 1) for f in (hf, pf, uf))
+            h[:, :1] = left  # h = den*G(s, c0..c0+w)
+            np.cumsum(inv[c0:c0 + w] <= a_col, axis=1, out=h[:, 1:])
+            h[:, 1:] *= den
+            h[:, 1:] += left
+            left = h[:, -1:].copy()
+            yb = np.zeros(w + 1, dtype=pdt)
+            yb[:w] = y[c0:c0 + w]
+            for t in range(span):
+                if t:
+                    h += step_rows[at[t] + c0, :w + 1]
+                np.multiply(s_col + t, yb, out=p)
+                np.subtract(hf[1:], pf[:-1], out=uf[:-1])  # closed boxes
+                np.subtract(pf, hf, out=pf)                # open boxes
+                u[:, :w].max(axis=1, out=closed[t])
+                p[:, :w].max(axis=1, out=opened[t])
+            blk = np.maximum(closed, opened)
+            best = blk if best is None else np.maximum(best, blk, out=best)
+        out[:, j:j + group] = best
     return out

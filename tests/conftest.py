@@ -4,8 +4,9 @@ The oracles here recompute everything from definitions, sharing no code
 with the library's optimized sweeps: d_star from per-prefix counting,
 d_exact from sliding-window counts over every cyclic interval pair
 (wrapping included), pattern counts from itertools.combinations, hits
-sigma(I) cap J by scanning I, and B(k) for {alpha*q} by exact
-comparisons.  The point is that a bug in the engine cannot hide in its
+sigma(I) cap J by scanning I, B(k) for {alpha*q} by exact comparisons,
+and the star discrepancy of a finite point set from its sorted points
+(real_star_disc, the prefix-star oracle).  The point is that a bug in the engine cannot hide in its
 own oracle.
 """
 
@@ -113,6 +114,21 @@ def oracle_real_star(points):
         closed = max(closed, abs(le - m * x), abs(lt - m * x))
         half = max(half, abs(lt - m * x), abs(le - m * x))
     return closed, half
+
+
+def real_star_disc(points):
+    """Star discrepancy sup_x |#{p <= x} - m*x| of a finite multiset of
+    m points in [0, 1): exact if the points are Fractions, float if they
+    are floats, 0 if there are none.  The sup over [0, x) is the same
+    number: both are the max over the sorted points v_i of |i - m*v_i|
+    and |i + 1 - m*v_i| (within a run of equal points |c - m*v| is
+    largest at the run's ends, so every index may serve)."""
+    pts = sorted(points)
+    m = len(pts)
+    if pts and (pts[0] < 0 or pts[-1] >= 1):
+        raise QrpermError("points must lie in [0, 1)")
+    return max((max(abs(i - m * v), abs(i + 1 - m * v))
+                for i, v in enumerate(pts)), default=0)
 
 
 def interval_hit(sigma: Permutation, i_int: Interval,

@@ -24,7 +24,6 @@ from qrperm import (
     min_hitting_length,
     psi,
     random_perm,
-    real_star_disc,
     reversal_perm,
     rho_exp,
     sos_perm,
@@ -41,6 +40,7 @@ from conftest import (
     oracle_d_star,
     oracle_d_star_cubic,
     oracle_real_star,
+    real_star_disc,
 )
 
 

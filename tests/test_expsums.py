@@ -27,7 +27,6 @@ from qrperm import (
     max_incomplete_sum,
     psi,
     random_perm,
-    real_star_disc,
     rho_exp,
     twisted_full_sum,
     w_sum,
@@ -38,7 +37,8 @@ from qrperm import expsums
 from qrperm.calibration import PV_CONSTANT, W_SUM_CONSTANT
 from qrperm.expsums import _walks
 
-from conftest import PRIMES_TO_200, assert_close, e_direct, slow_sum
+from conftest import (PRIMES_TO_200, assert_close, e_direct, real_star_disc,
+                      slow_sum)
 
 
 # ------------------------------------------------------------------- weyl

@@ -1,6 +1,8 @@
 """Partial-rank sequences, hit sets, gap checks, prefix star discrepancy."""
 
 import dataclasses
+import math
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from qrperm import (
     QrpermError,
+    Permutation,
     QuadraticIrrational,
     SizeRefusedError,
     a_set,
@@ -24,17 +27,17 @@ from qrperm import (
     golden,
     identity_perm,
     max_prefix_star,
+    parse_alpha,
     prefix_star_nums,
     psi,
     random_perm,
-    real_star_disc,
     reversal_perm,
     sos_perm,
     sqrt_irr,
 )
 from qrperm import ranksets
 
-from conftest import b_of_k
+from conftest import b_of_k, real_star_disc
 
 
 def _oracle_b(sigma, k: int) -> int:
@@ -198,6 +201,10 @@ def test_max_prefix_star_refuses_huge_denominator():
     alpha = Fraction(1, 2**61)
     with pytest.raises(SizeRefusedError):
         max_prefix_star(alpha, sos_perm(2, alpha))
+    # the walk's floors need c*floor(s*alpha) and a*s in int64
+    alpha = QuadraticIrrational(2**60, 1, 2, 1)
+    with pytest.raises(SizeRefusedError, match="int64 floors"):
+        max_prefix_star(alpha, sos_perm(4, alpha))
     with pytest.raises(QrpermError):
         sos_perm(0, golden())
 
@@ -321,6 +328,108 @@ def test_max_prefix_star_box_attains_value():
                 ps.value, abs=1e-9)
 
 
+# ---------------------------- prefix star, irrational: walk keys and rows
+
+WALK_ALPHAS = ("golden", "-golden", "sqrt:2", "sqrt:3", "sqrt:7", "sqrt:23",
+               "sqrt:61", "quad:1,3,13,7", "quad:-5,7,2,3")
+
+
+@pytest.mark.parametrize("label", WALK_ALPHAS)
+def test_prefix_points_walk_keys_are_frac_float_bits(label):
+    alpha = parse_alpha(label)
+    for n in (1, 2, 3, 17, 2048, 4096):
+        r, den = ranksets._prefix_points(alpha, sos_perm(n, alpha).image)
+        assert den == 1 and r.dtype == np.float64
+        assert [x.hex() for x in r.tolist()] == [
+            frac_float(alpha, s).hex() for s in range(1, n + 1)]
+
+
+def test_max_prefix_star_refuses_beta_out_of_order():
+    # labelled as the Sos ranking, but two ranks swapped: the floor
+    # chain must notice, not return the prefix star of other points
+    for alpha in (golden(), sqrt_irr(2), -golden()):
+        beta = sos_perm(40, alpha)
+        for u, v in ((0, 1), (3, 30), (38, 39)):
+            image = list(beta.image)
+            image[u], image[v] = image[v], image[u]
+            other = Permutation(beta.n, tuple(image), beta.family,
+                                beta.params)
+            with pytest.raises(QrpermError, match="not ordered"):
+                max_prefix_star(alpha, other)
+
+
+def _full_sweep_prefix_star(alpha, beta):
+    """max_prefix_star from one float sweep over every row of the
+    frac_float keys, as it was computed before the fixed-point filter."""
+    r = np.array([frac_float(alpha, s) for s in range(1, beta.n + 1)])
+    nums = prefix_star_nums(beta.image, r, 1)
+    best_s = int(np.argmax(nums)) + 1
+    vals, qs, counts = ranksets._row_boxes(beta.image, r, 1, best_s)
+    i = int(np.argmax(vals))
+    return (nums[best_s - 1].item().hex(), best_s, nums[-1].item().hex(),
+            (int(qs[i]), int(counts[i])))
+
+
+def _as_tuple(ps):
+    return ps.value.hex(), ps.argmax_s, ps.final.hex(), ps.box
+
+
+@pytest.mark.parametrize("label", WALK_ALPHAS)
+def test_max_prefix_star_equals_full_float_sweep(label):
+    alpha = parse_alpha(label)
+    for n in (1, 2, 3, 4, 12, 17, 300, 2048):
+        beta = sos_perm(n, alpha)
+        assert _as_tuple(max_prefix_star(alpha, beta)) == \
+            _full_sweep_prefix_star(alpha, beta), n
+
+
+def test_max_prefix_star_with_hundreds_of_candidates(monkeypatch):
+    # a low bit budget widens the slack to most rows: several groups of
+    # single-row runs, and (sqrt:3 at n = 4, sqrt:61 at n = 12) rows
+    # tied at the maximum, where the first must win
+    widest = []
+    rows_of = ranksets._prefix_star_rows
+
+    def spied(ranks, r, den, rows):
+        widest.append(np.shape(rows)[1])
+        return rows_of(ranks, r, den, rows)
+
+    monkeypatch.setattr(ranksets, "_FIXED_BITS", 18)
+    monkeypatch.setattr(ranksets, "_prefix_star_rows", spied)
+    for label in WALK_ALPHAS:
+        alpha = parse_alpha(label)
+        for n in (4, 12, 300):
+            beta = sos_perm(n, alpha)
+            assert _as_tuple(max_prefix_star(alpha, beta)) == \
+                _full_sweep_prefix_star(alpha, beta), (label, n)
+    group = ranksets._SEGMENTS * (ranksets._PREFIX_BLOCK + 1) // 301
+    assert max(widest) > 2 * group
+    assert max_prefix_star(sqrt_irr(3), sos_perm(4, sqrt_irr(3))).argmax_s \
+        == 2
+    alpha = parse_alpha("sqrt:61")
+    assert max_prefix_star(alpha, sos_perm(12, alpha)).argmax_s == 8
+
+
+def test_prefix_star_rows_over_all_rows_is_prefix_star_nums(monkeypatch):
+    rng = np.random.default_rng(5)
+    for block, sizes in ((3, (1, 2, 31, 33)), (1024, (1, 300, 1025))):
+        monkeypatch.setattr(ranksets, "_PREFIX_BLOCK", block)
+        for n in sizes:
+            for r, den in ((rng.random(n), 1),
+                           (np.floor(rng.random(n) * 9) / 9, 1),
+                           (rng.integers(0, 97, n), 97)):
+                ranks = _ranks_with_ties(r, rng)
+                want = prefix_star_nums(ranks, r, den)
+                single = np.arange(n)[None, :]   # each row its own run
+                span, starts = ranksets._run_starts(n, 7)
+                runs = starts + np.arange(span)[:, None]
+                for rows in (single, runs):
+                    got = np.empty_like(want)
+                    got[rows] = ranksets._prefix_star_rows(ranks, r, den,
+                                                           rows)
+                    assert got.tobytes() == want.tobytes(), (n, den, block)
+
+
 # -------------------------------------------- discrelation, decided exactly
 
 def _frac_decimal(alpha, q):
@@ -375,6 +484,67 @@ def test_discrelation_holds_matches_oracle_near_ties(monkeypatch):
                     assert discrelation_holds(alpha, beta, ds, prefix) \
                         == want, (alpha, n, ds, prefix.box)
     assert calls  # the near-tie path ran
+
+
+def _discrelation_full_sweep(alpha, beta, ds, prefix):
+    """discrelation_holds as decided before the fixed-point filter: the
+    rerun reads every row of one float sweep over the frac_float keys."""
+    if ranksets._box_reaches(alpha, prefix.argmax_s, *prefix.box, ds):
+        return True
+    n = beta.n
+    tol = 16 * n * sys.float_info.epsilon * (
+        abs(alpha.b) * n * math.sqrt(alpha.d) / alpha.c + 1)
+    low = float(ds) / 2 - tol
+    if prefix.value < low:
+        return False
+    r = np.array([frac_float(alpha, s) for s in range(1, n + 1)])
+    nums = prefix_star_nums(beta.image, r, 1)
+    for s in np.flatnonzero(nums >= low) + 1:
+        vals, qs, counts = ranksets._row_boxes(beta.image, r, 1, int(s))
+        for i in np.flatnonzero(vals >= low):
+            if ranksets._box_reaches(alpha, int(s), int(qs[i]),
+                                     int(counts[i]), ds):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("bits", [31, 18])
+def test_discrelation_rerun_matches_full_float_sweep(monkeypatch, bits):
+    reruns = []
+    fixed_nums = ranksets._fixed_nums
+
+    def spied(ranks, y):
+        reruns.append(1)
+        return fixed_nums(ranks, y)
+
+    monkeypatch.setattr(ranksets, "_FIXED_BITS", bits)
+    decisions = set()
+    for alpha, n in ((golden(), 233), (golden(), 300), (sqrt_irr(2), 239),
+                     (sqrt_irr(2), 408)):
+        beta = sos_perm(n, alpha)
+        ps = max_prefix_star(alpha, beta)
+        # the other box at the same edge does not attain the value, so
+        # it fails and the rerun decides
+        q, count = ps.box
+        s = ps.argmax_s
+        closed = sum(1 for v in beta.image[:s] if v <= beta.image[q - 1])
+        other = dataclasses.replace(
+            ps, box=(q, closed - 1 if count == closed else closed))
+        r = np.array([frac_float(alpha, t) for t in range(1, n + 1)])
+        tops = np.unique(prefix_star_nums(beta.image, r, 1))[-6:]
+        monkeypatch.setattr(ranksets, "_fixed_nums", spied)
+        for v in tops:
+            for k in (-3, 0, 3):
+                ds = Fraction(2 * v.item()) + Fraction(k, 10**13)
+                want = _discrelation_full_sweep(alpha, beta, ds, other)
+                before = len(reruns)
+                assert discrelation_holds(alpha, beta, ds, other) == want, \
+                    (alpha, n, v, k)
+                decisions.add(want)
+                if not ranksets._box_reaches(alpha, s, *other.box, ds):
+                    assert len(reruns) == before + 1
+        monkeypatch.setattr(ranksets, "_fixed_nums", fixed_nums)
+    assert reruns and decisions == {True, False}
 
 
 def test_discrelation_holds_compares_fractions_for_rational_alpha():
