@@ -19,7 +19,6 @@ import hashlib
 import math
 import sys
 import time
-from fractions import Fraction
 
 import numpy as np
 
@@ -123,7 +122,8 @@ def random_band_check() -> tuple[float, float, float]:
     n = 1024
     vals = sorted(float(d_star(random_perm(n, seed))) for seed in range(100))
     med = (vals[49] + vals[50]) / 2
-    return 0.3 * math.sqrt(n), med, 3 * math.sqrt(n * math.log(n))
+    return (calibration.RANDOM_BAND_LO_COEFF * math.sqrt(n), med,
+            calibration.RANDOM_BAND_HI_COEFF * math.sqrt(n * math.log(n)))
 
 
 def main() -> int:
@@ -172,7 +172,8 @@ def main() -> int:
 
     lo_band, med, hi_band = random_band_check()
     print(f"random band       {lo_band:.3f} <= median {med:.3f} "
-          f"<= {hi_band:.3f}")
+          f"<= {hi_band:.3f}  [pin {calibration.RANDOM_BAND_LO_COEFF} sqrt n,"
+          f" {calibration.RANDOM_BAND_HI_COEFF} sqrt(n ln n)]")
 
     print(f"total {time.perf_counter() - t0:.1f}s")
     return 0

@@ -8,27 +8,25 @@ psi / lambda / eta / rho.
 
 from .cfrac import (AverageCheck, ContinuedFraction, ZarembaResult,
                     bounded_average_check, cf_of_quadratic, cf_of_rational,
-                    continuant, convergents, zaremba_search)
-from .discrepancy import (DiscrepancyReport, build_report, d_exact, d_star,
-                          min_hitting_length, verify_interval_hits)
+                    zaremba_search)
+from .discrepancy import DiscrepancyReport, build_report, d_exact, d_star
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
                      InvalidModulusError, NotAPermutationError,
                      NotAUnitError, QrpermError, SizeRefusedError)
 from .expsums import (CompletionReport, SumValue, completion_check,
-                      erdos_turan_bound, erdos_turan_min, gauss_power_sum,
-                      incomplete_sigma_sum, interval_fourier, kloosterman,
-                      max_incomplete_sum, twisted_full_sum, w_sum, weyl_sum)
-from .families import (Permutation, bit_reversal, compose, eta_power,
-                       from_text, identity_perm, invert, lambda_inv, psi,
-                       random_perm, reversal_perm, rho_exp, sos_perm,
-                       to_text)
+                      erdos_turan_bound, gauss_power_sum, incomplete_sigma_sum,
+                      interval_fourier, kloosterman, max_incomplete_sum,
+                      twisted_full_sum, w_sum, weyl_sum)
+from .families import (Permutation, bit_reversal, eta_power, from_text,
+                       identity_perm, invert, lambda_inv, psi, random_perm,
+                       reversal_perm, rho_exp, sos_perm, to_text)
 from .intervals import Interval, all_intervals
 from .modular import (factorize, find_primitive_root, is_prime,
                       is_primitive_root, mod_inv, multiplicative_order)
 from .qrstats import (EigenvalueStat, PropertyProfile, eigenvalue_stat,
                       pattern_count, property_profile,
                       restricted_pattern_count, restriction,
-                      separability_stat, translation_stat, two_subseq_stat)
+                      separability_stat, translation_stat)
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       floor_surd, frac_compare, frac_float, golden,
                       is_square_free, parse_alpha, sign_of_surd, sqrt_irr)

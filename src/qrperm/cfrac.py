@@ -1,4 +1,4 @@
-"""Continued fractions, continuants, and bounded-quotient searches.
+"""Continued fractions and bounded-quotient searches.
 
 Expansions are exact.  Finite expansions are canonical (last partial
 quotient >= 2, except the single-term integer case), so every rational
@@ -8,9 +8,9 @@ continuants K(a_1..a_m).
 One recurrence gives every convergent: _convergent_stream yields
 (a_i, p_i, q_i) along any quotient sequence, and _quotient_stream, the
 one place that unrolls a periodic tail (it cycles forever), turns an
-expansion into one.  convergents, continuant and the quotient method
-read them; _convergents_upto, which stops at the last q_i <= n, serves
-the three-distance walk of sos_perm and the quotient profile of scan_sos.
+expansion into one.  _convergents_upto, which stops at the last
+q_i <= n, serves the three-distance walk of sos_perm and the quotient
+profile of scan_sos.
 
 Quadratic irrationals get the classical (P + sqrt(D))/Q surd recurrence
 with period detection on the (P, Q) state, so golden -> [1; (1)],
@@ -57,14 +57,6 @@ class ContinuedFraction:
         elif self.quotients and self.quotients[-1] < 2:
             raise QrpermError("canonical finite form needs last quotient >= 2")
 
-    def quotient(self, i: int) -> int:
-        """Partial quotient a_i, i >= 1, read from _quotient_stream."""
-        if i < 1:
-            raise QrpermError("quotient index starts at 1")
-        for a in itertools.islice(_quotient_stream(self), i - 1, None):
-            return a
-        raise QrpermError(f"finite expansion has no quotient a_{i}")
-
     def __str__(self) -> str:
         if self.periodic_tail is None:
             body = ", ".join(str(q) for q in self.quotients)
@@ -97,15 +89,11 @@ def cf_of_rational(num: int, den: int) -> ContinuedFraction:
     return ContinuedFraction(a0, tuple(quotients))
 
 
-def cf_of_quadratic(alpha: QuadraticIrrational) -> ContinuedFraction:
-    """Expansion of a quadratic irrational with exact period detection."""
-    return _expand_quadratic(alpha)
-
-
 # a Sos scan point reads alpha's expansion twice, in the three-distance
 # walk and in its quotient profile; both values are frozen
 @lru_cache(maxsize=64)
-def _expand_quadratic(alpha: QuadraticIrrational) -> ContinuedFraction:
+def cf_of_quadratic(alpha: QuadraticIrrational) -> ContinuedFraction:
+    """Expansion of a quadratic irrational with exact period detection."""
     # normalize to (P + sqrt(D)) / Q with the sqrt coefficient +1
     if alpha.b > 0:
         p_, d_, q_ = alpha.a, alpha.b * alpha.b * alpha.d, alpha.c
@@ -161,34 +149,6 @@ def _convergents_upto(cf: ContinuedFraction, n: int):
     with q_i <= n, in order."""
     return itertools.takewhile(
         lambda t: t[2] <= n, _convergent_stream(cf.a0, _quotient_stream(cf)))
-
-
-def convergents(cf: ContinuedFraction, m: int) -> list[Fraction]:
-    """First m convergents p_s/q_s in lowest terms.
-
-    The degenerate convergent a0/1 counts only when a0 != 0, so for
-    values in (0, 1) the list starts at [a0; a_1].  Raises if a finite
-    expansion has fewer than m convergents.
-    """
-    if m < 0:
-        raise QrpermError("m must be >= 0")
-    out = [Fraction(cf.a0)] if cf.a0 != 0 and m > 0 else []
-    stream = _convergent_stream(cf.a0, _quotient_stream(cf))
-    out += [Fraction(p, q) for _, p, q in
-            itertools.islice(stream, m - len(out))]
-    if len(out) < m:
-        raise QrpermError(
-            f"expansion has only {len(out)} convergents, wanted {m}")
-    return out
-
-
-def continuant(quotients) -> int:
-    """K(a_1, ..., a_m): the denominator of [0; a_1, ..., a_m].  K() = 1."""
-    q = 1
-    for a, _, q in _convergent_stream(0, quotients):
-        if a < 1:
-            raise QrpermError("partial quotients must be >= 1")
-    return q
 
 
 @dataclass(frozen=True)

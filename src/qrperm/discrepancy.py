@@ -63,7 +63,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SizeRefusedError
 from .families import Permutation
-from .intervals import Interval
 
 D_EXACT_CAP = 512
 _SEGMENTS = 32
@@ -183,45 +182,6 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
         rows = np.subtract(f[j], f[:j], out=diff[:j])
         best = max(best, int(np.ptp(rows, axis=1).max()))
     return Fraction(best, n)
-
-
-def _ceil_sqrt(x) -> int:
-    """Smallest integer L >= 0 with L*L >= x, exact for int or Fraction."""
-    return math.isqrt(math.ceil(x) - 1) + 1 if x > 0 else 0
-
-
-def min_hitting_length(n: int, d_upper) -> int:
-    """Smallest integer L with L^2 > n * d_upper: intervals at least
-    this long on both sides force sigma(I) cap J nonempty."""
-    return _ceil_sqrt(math.floor(n * Fraction(d_upper)) + 1)
-
-
-def verify_interval_hits(sigma: Permutation, d_upper):
-    """Check sigma(I) cap J != empty for every pair with both lengths
-    >= min_hitting_length.  Returns None or a counterexample (I, J)."""
-    n = sigma.n
-    min_len = min_hitting_length(n, d_upper)
-    if min_len > n:
-        return None
-    for start in range(n):
-        for length in range(min_len, n + 1):
-            ivl = Interval(n, start, length)
-            hit_vals = sorted(sigma.image[x] for x in ivl.members())
-            if len(hit_vals) == n:
-                break  # sigma(I) is everything; longer I only grows it
-            # J misses sigma(I) iff J fits inside a cyclic gap between
-            # consecutive image values
-            worst_gap = 0
-            worst_at = 0
-            prev = hit_vals[-1] - n
-            for v in hit_vals:
-                if v - prev - 1 > worst_gap:
-                    worst_gap = v - prev - 1
-                    worst_at = (prev + 1) % n
-                prev = v
-            if worst_gap >= min_len:
-                return ivl, Interval(n, worst_at, min_len)
-    return None
 
 
 def _fraction_json(x: Fraction | None) -> dict | None:

@@ -15,10 +15,10 @@ Kernels:
     w_sum(p, a, c, theta, t)         sum_k |sum_x e((a th^x + c th^xk)/p)|
     interval_fourier(J, k)           sum_{x in J} e(-k*x/n)
 
-plus the Erdos-Turan bound and its minimizing companion (both read one
-curve over K), the completion inequality check (max window sum vs max
-twisted full sum times 1 + ln n), and the incomplete-sum maximum used
-for the Polya-Vinogradov-style calibration.
+plus the Erdos-Turan bound, the completion inequality check (max
+window sum vs max twisted full sum times 1 + ln n), and the
+incomplete-sum maximum used for the Polya-Vinogradov-style
+calibration.
 
 Window sums: with the prefix walk P_m = sum_{s<m} e(k*sigma(s)/n), the
 window [u, v) sums to P_v - P_u, and _widest_window's max_{u<v}
@@ -221,27 +221,15 @@ def interval_fourier(j_int: Interval, k: int) -> SumValue:
                                length=j_int.length))
 
 
-def _erdos_turan_curve(points, k_max: int) -> np.ndarray:
-    """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for K = 1..k_max, with
+def erdos_turan_bound(points, k_max: int) -> float:
+    """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for reals in [0, 1), with
     C = ERDOS_TURAN_C."""
     if k_max < 1:
         raise QrpermError("K must be >= 1")
     pts = np.asarray(list(points), dtype=np.float64)
     ks = np.arange(1, k_max + 1, dtype=np.float64)
     mags = np.abs(np.exp(2j * np.pi * ks[:, None] * pts[None, :]).sum(axis=1))
-    return ERDOS_TURAN_C * (len(pts) / ks + np.cumsum(mags / ks))
-
-
-def erdos_turan_bound(points, k_max: int) -> float:
-    """C * (m/K + sum_{k=1}^{K} |A(k)|/k) for reals in [0, 1)."""
-    return float(_erdos_turan_curve(points, k_max)[-1])
-
-
-def erdos_turan_min(points, k_limit: int) -> tuple[int, float]:
-    """(K*, bound*) minimizing the Erdos-Turan bound over K <= k_limit."""
-    curve = _erdos_turan_curve(points, k_limit)
-    best = int(np.argmin(curve))
-    return best + 1, float(curve[best])
+    return float(ERDOS_TURAN_C * (len(pts) / ks + np.cumsum(mags / ks))[-1])
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ Families (all 0-indexed on Z_n = {0, ..., n-1}):
     random_perm(n, s)  Fisher-Yates driven by SplitMix64, identical
                        output for identical (n, seed) on every platform
 
-plus identity_perm, reversal_perm, invert, compose.
+plus identity_perm, reversal_perm and invert.
 
 A Permutation is immutable and carries provenance: a family tag and the
 parameters that built it, so a result file can always be traced back.
@@ -278,12 +278,3 @@ def invert(sigma: Permutation) -> Permutation:
         image[v] = s
     return Permutation(sigma.n, tuple(image), f"inv:{sigma.family}",
                        sigma.params)
-
-
-def compose(sigma: Permutation, tau: Permutation) -> Permutation:
-    """(sigma . tau)(s) = sigma(tau(s))."""
-    if sigma.n != tau.n:
-        raise QrpermError(f"size mismatch: {sigma.n} vs {tau.n}")
-    image = tuple(sigma.image[tau.image[s]] for s in range(sigma.n))
-    return Permutation(sigma.n, image, "compose",
-                       _params(left=sigma.family, right=tau.family))

@@ -29,10 +29,6 @@ class Interval:
         if not 1 <= self.length <= self.n:
             raise QrpermError(f"length {self.length} outside [1, {self.n}]")
 
-    @property
-    def wraps(self) -> bool:
-        return self.start + self.length > self.n
-
     def members(self):
         n, s = self.n, self.start
         for i in range(self.length):

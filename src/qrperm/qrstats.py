@@ -2,9 +2,9 @@
 
 These are the finite-size witnesses behind the equivalence between
 low interval discrepancy and the other pseudorandomness properties:
-pattern counts on restrictions, the signed 2-subsequence imbalance,
-separability deviations, the normalized interval exponential sum, and
-the translation-overlap sum.
+pattern counts on restrictions, the signed 2-subsequence imbalance
+(property_profile's two_s), separability deviations, the normalized
+interval exponential sum, and the translation-overlap sum.
 
 Pattern conventions: a pattern is a tuple like (0, 1, 2) or (1, 0)
 giving the rank order demanded of sigma on an increasing tuple of
@@ -116,14 +116,6 @@ def restricted_pattern_count(sigma: Permutation, tau, i_int: Interval,
     pos = restriction(sigma, i_int, j_int)
     values = [sigma.image[x] for x in pos]
     return RestrictedCount(_pattern_counts(values, len(tau))[tau], len(pos))
-
-
-def two_subseq_stat(sigma: Permutation, i_int: Interval,
-                    j_int: Interval) -> int:
-    """Signed imbalance X^(01) - X^(10) on the restriction."""
-    counts = _pattern_counts([sigma.image[x]
-                              for x in restriction(sigma, i_int, j_int)], 2)
-    return counts[(0, 1)] - counts[(1, 0)]
 
 
 def separability_stat(sigma: Permutation, i_int: Interval, j_int: Interval,

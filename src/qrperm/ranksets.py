@@ -62,7 +62,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .discrepancy import _SEGMENTS, _ceil_sqrt, _run_starts
+from .discrepancy import _SEGMENTS, _run_starts
 from .errors import QrpermError, SizeRefusedError
 from .families import Permutation
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
@@ -134,6 +134,11 @@ class GapCheck:
     required_length: int     # ceil(sqrt(32 * n * d_upper))
     max_gap: int
     widest_empty: tuple[int, int] | None
+
+
+def _ceil_sqrt(x) -> int:
+    """Smallest integer L >= 0 with L*L >= x, exact for int or Fraction."""
+    return math.isqrt(math.ceil(x) - 1) + 1 if x > 0 else 0
 
 
 def gap_check(sigma: Permutation, d_upper) -> GapCheck:

@@ -3,11 +3,11 @@
 The oracles here recompute everything from definitions, sharing no code
 with the library's optimized sweeps: d_star from per-prefix counting,
 d_exact from sliding-window counts over every cyclic interval pair
-(wrapping included), pattern counts from itertools.combinations, hits
-sigma(I) cap J by scanning I, B(k) for {alpha*q} by exact comparisons,
-and the star discrepancy of a finite point set from its sorted points
-(real_star_disc, the prefix-star oracle).  The point is that a bug in the engine cannot hide in its
-own oracle.
+(wrapping included), pattern counts from itertools.combinations, B(k)
+for {alpha*q} by exact comparisons, and the star discrepancy of a
+finite point set from its sorted points (real_star_disc, the
+prefix-star oracle).  The point is that a bug in the engine cannot
+hide in its own oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import pytest
 from qrperm.corpus import corpus_perms
 from qrperm.errors import QrpermError
 from qrperm.families import Permutation, random_perm
-from qrperm.intervals import Interval
 from qrperm.quadirr import frac_compare
 
 
@@ -129,14 +128,6 @@ def real_star_disc(points):
         raise QrpermError("points must lie in [0, 1)")
     return max((max(abs(i - m * v), abs(i + 1 - m * v))
                 for i, v in enumerate(pts)), default=0)
-
-
-def interval_hit(sigma: Permutation, i_int: Interval,
-                 j_int: Interval) -> bool:
-    """Is sigma(I) cap J nonempty?"""
-    if i_int.n != sigma.n or j_int.n != sigma.n:
-        raise QrpermError("interval modulus mismatch")
-    return any(j_int.contains(sigma.image[x]) for x in i_int.members())
 
 
 def b_of_k(alpha, k: int) -> int:

@@ -1,6 +1,7 @@
 """Smoke test for scripts/calibrate.py, which no other test imports."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 from qrperm import calibration
@@ -27,3 +28,12 @@ def test_golden_ratio_table_stays_under_pin():
     for n, ratio, prefix in rows:
         assert 0 < ratio <= calibration.GOLDEN_RATIO_BOUND, n
         assert prefix > 0
+
+
+def test_random_band_reads_the_pins(monkeypatch):
+    monkeypatch.setattr(calibration, "RANDOM_BAND_LO_COEFF", 0.5)
+    monkeypatch.setattr(calibration, "RANDOM_BAND_HI_COEFF", 2.0)
+    lo, med, hi = _load_script().random_band_check()
+    assert lo == 0.5 * 32
+    assert hi == 2.0 * math.sqrt(1024 * math.log(1024))
+    assert lo <= med <= hi

@@ -1,4 +1,4 @@
-"""Continued fractions: expansions, convergents, continuants, Zaremba search."""
+"""Continued fractions: expansions, convergents, Zaremba search."""
 
 import itertools
 import math
@@ -16,14 +16,13 @@ from qrperm import (
     bounded_average_check,
     cf_of_quadratic,
     cf_of_rational,
-    continuant,
-    convergents,
     golden,
     sign_of_surd,
     sqrt_irr,
     zaremba_search,
 )
-from qrperm.cfrac import _convergent_stream, _quotient_stream
+from qrperm.cfrac import (_convergent_stream, _convergents_upto,
+                          _quotient_stream)
 
 
 def _decimal_cf_terms(x: Decimal, count: int) -> list[int]:
@@ -42,7 +41,7 @@ def test_quadratic_expansions_frozen():
     assert str(cf_of_quadratic(sqrt_irr(2))) == "[1; (2)]"
     assert str(cf_of_quadratic(sqrt_irr(3))) == "[1; (1, 2)]"
     cf = cf_of_quadratic(sqrt_irr(3))
-    assert [cf.quotient(i) for i in range(1, 7)] == [1, 2, 1, 2, 1, 2]
+    assert list(itertools.islice(_quotient_stream(cf), 6)) == [1, 2] * 3
 
 
 def test_quadratic_expansion_matches_decimal_oracle():
@@ -58,7 +57,7 @@ def test_quadratic_expansion_matches_decimal_oracle():
         cf = cf_of_quadratic(alpha)
         want = _decimal_cf_terms(dec, 16)
         assert cf.a0 == want[0]
-        assert [cf.quotient(i) for i in range(1, 16)] == want[1:]
+        assert list(itertools.islice(_quotient_stream(cf), 15)) == want[1:]
 
 
 def test_rational_expansions_canonical():
@@ -92,31 +91,22 @@ def test_continued_fraction_validation():
         ContinuedFraction(1, (0, 2))
     with pytest.raises(QrpermError, match="tail"):
         ContinuedFraction(1, (1, 2), 2)
-    cf = ContinuedFraction(0, (1, 2, 3))
-    with pytest.raises(QrpermError, match="starts at 1"):
-        cf.quotient(0)
-    with pytest.raises(QrpermError, match="no quotient"):
-        cf.quotient(4)
 
 
 # ----------------------------------------------------------- convergents
 
 def test_convergents_frozen():
-    assert convergents(cf_of_quadratic(golden()), 5) == [
-        Fraction(1), Fraction(2), Fraction(3, 2), Fraction(5, 3),
-        Fraction(8, 5)]
-    # values in (0, 1) have a0 = 0, which does not count as a convergent
-    assert convergents(ContinuedFraction(0, (1, 2, 3)), 3) == [
-        Fraction(1), Fraction(2, 3), Fraction(7, 10)]
-    assert convergents(cf_of_rational(3, 1), 1) == [Fraction(3)]
-    assert convergents(cf_of_quadratic(sqrt_irr(2)), 0) == []
-
-
-def test_convergents_exhausted_expansion_raises():
-    with pytest.raises(QrpermError, match="only"):
-        convergents(cf_of_rational(7, 10), 10)
-    with pytest.raises(QrpermError):
-        convergents(cf_of_rational(7, 10), -1)
+    golden_cf = cf_of_quadratic(golden())
+    assert [(p, q) for _, p, q in _convergents_upto(golden_cf, 5)] == [
+        (2, 1), (3, 2), (5, 3), (8, 5)]
+    # the stream starts at [a0; a_1], and a finite expansion's stream
+    # ends with the value itself
+    cf = ContinuedFraction(0, (1, 2, 3))
+    assert [(p, q) for _, p, q in _convergents_upto(cf, 10**6)] == [
+        (1, 1), (2, 3), (7, 10)]
+    assert [q for _, _, q in _convergents_upto(cf, 9)] == [1, 3]
+    assert list(_convergents_upto(cf_of_rational(3, 1), 10)) == []
+    assert list(_convergents_upto(cf_of_quadratic(sqrt_irr(2)), 0)) == []
 
 
 def test_convergent_error_bound_exact():
@@ -124,44 +114,23 @@ def test_convergent_error_bound_exact():
     # floating point: v = (alpha q_s - p_s) q_{s+1} must lie in (-1, 1)
     for alpha in (golden(), sqrt_irr(2), sqrt_irr(3),
                   QuadraticIrrational(1, 1, 13, 3)):
-        cons = convergents(cf_of_quadratic(alpha), 12)
-        for lo, hi in zip(cons, cons[1:]):
-            p, q = lo.numerator, lo.denominator
-            qn = hi.denominator
+        cf = cf_of_quadratic(alpha)
+        stream = _convergent_stream(cf.a0, _quotient_stream(cf))
+        cons = [(cf.a0, 1)] + [(p, q) for _, p, q in
+                               itertools.islice(stream, 11)]
+        for (p, q), (_, qn) in zip(cons, cons[1:]):
             a_term = (alpha.a * q - p * alpha.c) * qn
             b_term = alpha.b * q * qn
             assert sign_of_surd(a_term - alpha.c, b_term, alpha.d) < 0
             assert sign_of_surd(a_term + alpha.c, b_term, alpha.d) > 0
 
 
-# ------------------------------------------------------------ continuant
-
-def test_continuant_identities():
-    assert continuant(()) == 1
-    assert continuant((7,)) == 7
-    assert continuant((1, 2, 3)) == 10
-    # K(1, ..., 1) with m ones is Fibonacci(m + 1), F(1) = F(2) = 1
-    fib = [1, 1]  # fib[i] = F(i + 1)
-    for m in range(1, 15):
-        assert continuant((1,) * m) == fib[m]
-        fib.append(fib[-1] + fib[-2])
-    with pytest.raises(QrpermError):
-        continuant((1, 0, 2))
-
-
-@given(st.lists(st.integers(1, 9), min_size=2, max_size=10))
-@settings(max_examples=200)
-def test_continuant_reversal_and_recurrence(quotients):
-    q = tuple(quotients)
-    assert continuant(q) == continuant(q[::-1])
-    assert continuant(q) == q[-1] * continuant(q[:-1]) + continuant(q[:-2])
-
-
 @given(st.integers(2, 300), st.data())
 @settings(max_examples=120)
 def test_continuant_is_denominator(n, data):
     k = data.draw(st.integers(1, n - 1).filter(lambda x: math.gcd(x, n) == 1))
-    assert continuant(cf_of_rational(k, n).quotients) == n
+    quotients = cf_of_rational(k, n).quotients
+    assert list(_convergent_stream(0, quotients))[-1][2] == n
 
 
 # ------------------------------------------------------ shared streams
@@ -187,9 +156,13 @@ def test_quotient_stream_agrees_with_quotient():
         head = list(itertools.islice(_quotient_stream(cf), 40))
         if cf.periodic_tail is None:
             assert head == list(cf.quotients)   # finite: the stream ends
-        else:
-            assert len(head) == 40
-        assert head == [cf.quotient(i) for i in range(1, len(head) + 1)]
+            continue
+        # a_i is the stored quotient, or the tail entry at i's offset
+        # into the period
+        tail, m = cf.periodic_tail, len(cf.quotients)
+        assert head == [cf.quotients[i if i < m
+                                     else tail + (i - m) % (m - tail)]
+                        for i in range(40)]
     assert list(_quotient_stream(cf_of_rational(3, 1))) == []
 
 
@@ -222,7 +195,7 @@ def test_zaremba_frozen_examples():
 def test_zaremba_winner_reconstructs_denominator():
     for n in range(2, 120):
         z = zaremba_search(n, 5)
-        assert continuant(z.quotients) == n
+        assert list(_convergent_stream(0, z.quotients))[-1][2] == n
         assert math.gcd(z.k, n) == 1
         # the winner's quotients really are the expansion of k/n
         assert cf_of_rational(z.k, n).quotients == z.quotients

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrperm import (
-    Interval,
     QrpermError,
     SizeRefusedError,
     bit_reversal,
@@ -21,21 +20,18 @@ from qrperm import (
     identity_perm,
     invert,
     lambda_inv,
-    min_hitting_length,
     psi,
     random_perm,
     reversal_perm,
     rho_exp,
     sos_perm,
     sqrt_irr,
-    verify_interval_hits,
 )
 from qrperm import discrepancy, scan
 from qrperm.discrepancy import _d_star_many, _deviation_rows
 from qrperm.families import Permutation
 
 from conftest import (
-    interval_hit,
     oracle_d_cyclic,
     oracle_d_star,
     oracle_d_star_cubic,
@@ -291,57 +287,6 @@ def test_real_star_disc_matches_grid_oracle(points):
     want_closed, want_half = oracle_real_star([float(p) for p in points])
     assert math.isclose(r, want_closed, abs_tol=1e-9)
     assert math.isclose(r, want_half, abs_tol=1e-9)
-
-
-# ------------------------------------------------------------- hit checks
-
-def test_interval_hit_examples():
-    sigma = psi(5, 2)  # image (0, 2, 4, 1, 3)
-    i_int = Interval(5, 0, 2)  # sigma(I) = {0, 2}
-    assert not interval_hit(sigma, i_int, Interval(5, 3, 2))
-    assert interval_hit(sigma, i_int, Interval(5, 2, 1))
-    with pytest.raises(QrpermError, match="mismatch"):
-        interval_hit(sigma, Interval(7, 0, 2), Interval(5, 0, 2))
-
-
-def test_min_hitting_length():
-    assert min_hitting_length(64, 1) == 9       # 8^2 = 64 is not > 64
-    assert min_hitting_length(64, Fraction(1, 2)) == 6
-    assert min_hitting_length(5, Fraction(4, 5)) == 3
-    for n in (7, 30, 100):
-        for d in (Fraction(1, 3), Fraction(7, 4), Fraction(9)):
-            L = min_hitting_length(n, d)
-            assert L * L > n * d
-            assert L == 1 or (L - 1) * (L - 1) <= n * d
-
-
-def test_verify_interval_hits_against_brute_force():
-    sigma = psi(13, 5)
-    d_upper = d_exact(sigma)
-    assert verify_interval_hits(sigma, d_upper) is None
-    min_len = min_hitting_length(13, d_upper)
-    for si in range(13):
-        for li in range(min_len, 14):
-            for sj in range(13):
-                for lj in range(min_len, 14):
-                    assert interval_hit(sigma, Interval(13, si, li),
-                                        Interval(13, sj, lj))
-
-
-def test_verify_interval_hits_on_families():
-    p = 61
-    for sigma in (psi(p, 2), lambda_inv(p, 1), rho_exp(p, 1, 2)):
-        assert verify_interval_hits(sigma, 4 * d_star(sigma)) is None
-
-
-def test_verify_interval_hits_finds_counterexample():
-    # an artificially tiny bound makes singleton intervals "long enough",
-    # and singletons certainly miss
-    sigma = psi(13, 5)
-    found = verify_interval_hits(sigma, Fraction(1, 169))
-    assert found is not None
-    i_int, j_int = found
-    assert not interval_hit(sigma, i_int, j_int)
 
 
 # ---------------------------------------------------------------- reports

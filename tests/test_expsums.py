@@ -16,7 +16,6 @@ from qrperm import (
     SizeRefusedError,
     completion_check,
     erdos_turan_bound,
-    erdos_turan_min,
     find_primitive_root,
     gauss_power_sum,
     identity_perm,
@@ -276,19 +275,8 @@ def test_erdos_turan_bound_examples():
     assert erdos_turan_bound([], 5) == 0.0
     # a single point has |A(k)| = 1 for all k
     assert_close(erdos_turan_bound([0.0], 1), 4.0 * (1.0 + 1.0))
-    assert erdos_turan_min([0.0], 10) == (1, 8.0)
     with pytest.raises(QrpermError):
         erdos_turan_bound([0.0], 0)
-    with pytest.raises(QrpermError):
-        erdos_turan_min([0.0], 0)
-
-
-def test_erdos_turan_min_is_min_of_bounds():
-    points = [0.05, 0.3, 0.31, 0.8]
-    k_best, b_best = erdos_turan_min(points, 20)
-    bounds = [erdos_turan_bound(points, k) for k in range(1, 21)]
-    assert_close(b_best, min(bounds), tol=1e-9)
-    assert bounds[k_best - 1] == pytest.approx(b_best)
 
 
 def test_erdos_turan_dominates_star_discrepancy_spot():

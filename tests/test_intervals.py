@@ -11,10 +11,8 @@ from qrperm import Interval, QrpermError, all_intervals
 def test_members_and_wrap():
     plain = Interval(10, 2, 3)
     assert list(plain.members()) == [2, 3, 4]
-    assert not plain.wraps
     wrapped = Interval(10, 8, 4)
     assert list(wrapped.members()) == [8, 9, 0, 1]
-    assert wrapped.wraps
     assert list(Interval(5, 3, 5).members()) == [3, 4, 0, 1, 2]
 
 

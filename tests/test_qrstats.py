@@ -17,7 +17,6 @@ from qrperm import (
     QrpermError,
     SizeRefusedError,
     bit_reversal,
-    compose,
     d_star,
     eigenvalue_stat,
     identity_perm,
@@ -30,7 +29,6 @@ from qrperm import (
     reversal_perm,
     separability_stat,
     translation_stat,
-    two_subseq_stat,
 )
 from qrperm import qrstats
 from qrperm.expsums import _widest_window
@@ -160,20 +158,20 @@ def test_restricted_counts_match_brute_force():
 
 def test_two_subseq_extremes_and_negation():
     n = 16
-    full = Interval(n, 0, n)
-    assert two_subseq_stat(identity_perm(n), full, full) == ncr2(n)
-    assert two_subseq_stat(reversal_perm(n), full, full) == -ncr2(n)
+    assert property_profile(identity_perm(n)).two_s == ncr2(n)
+    assert property_profile(reversal_perm(n)).two_s == -ncr2(n)
     sigma = random_perm(n, 5)
-    flipped = compose(sigma, reversal_perm(n))
-    assert two_subseq_stat(flipped, full, full) == \
-        -two_subseq_stat(sigma, full, full)
+    # sigma after the reversal: every pair swaps its order
+    flipped = Permutation(n, tuple(sigma.image[t]
+                                   for t in reversal_perm(n).image))
+    assert property_profile(flipped).two_s == -property_profile(sigma).two_s
 
 
 def test_two_subseq_equals_count_difference():
     sigma = random_perm(30, 2)
-    full = Interval(30, 0, 30)
-    want = pattern_count(sigma, (0, 1)) - pattern_count(sigma, (1, 0))
-    assert two_subseq_stat(sigma, full, full) == want
+    want = (oracle_pattern(sigma.image, (0, 1))
+            - oracle_pattern(sigma.image, (1, 0)))
+    assert property_profile(sigma).two_s == want
 
 
 # ----------------------------------------------------------- separability

@@ -115,7 +115,7 @@ def test_sos_point_expands_alpha_once():
     # the three-distance walk and the quotient profile read one expansion
     import qrperm.cfrac as cfrac_mod
     import qrperm.scan as scan_mod
-    expand = cfrac_mod._expand_quadratic
+    expand = cfrac_mod.cf_of_quadratic
     expand.cache_clear()
     records = scan_mod._sos_point(("golden", 2048))
     info = expand.cache_info()
