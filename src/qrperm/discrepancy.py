@@ -47,8 +47,15 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     a given I is max_b - min_b of F_j - F_i.  Complementing
                     I or J negates the signed deviation and maps wrapping
                     intervals to non-wrapping ones, so the non-wrapping
-                    pairs i < j suffice.  Cubic; the size cap refuses
-                    anything above it.
+                    pairs i < j suffice.  Every |F_j - F_i| is at most
+                    2 max|F| = 2n D*, so when that is at most 32767 the
+                    rows are cast to int16 and no difference wraps;
+                    hi - lo is taken in int64.  Otherwise F keeps its
+                    dtype.  The sweep goes in tiles: _J_ROWS = 8 rows j
+                    against as many rows i as keep the (8, i-rows,
+                    n + 1) difference block within 2*_BLOCK_CELLS
+                    cells, one reused buffer reduced along b.  Cubic;
+                    the size cap refuses anything above it.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ D_EXACT_CAP = 512
 _SEGMENTS = 32
 _MIN_RUNS = 4
 _BLOCK_CELLS = 32 * 4096
+_J_ROWS = 8
 
 
 def _rows_per_call(n: int) -> int:
@@ -173,14 +181,31 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
     if n > cap:
         raise SizeRefusedError(
             f"d_exact is cubic; n = {n} exceeds cap {cap}")
-    # F's dtype holds ptp: |F_j - F_i| <= n^2/2, so ptp <= n^2
     images = np.asarray(sigma.image)[None, :]
     f = _deviation_rows(_inverses(images), np.arange(n + 1))[0]
-    diff = np.empty_like(f)  # reused: fresh MB-sized temporaries page-fault
+    # |F_j - F_i| <= 2 max|F|: when that fits, int16 holds every difference
+    if 2 * max(int(f.max()), -int(f.min())) <= np.iinfo(np.int16).max:
+        f = f.astype(np.int16)
+    # one reused (_J_ROWS, i_rows, n + 1) block of at most 2*_BLOCK_CELLS
+    # cells: fresh MB-sized temporaries page-fault
+    i_rows = max(1, 2 * _BLOCK_CELLS // (_J_ROWS * (n + 1)))
+    diff = np.empty((_J_ROWS, i_rows, n + 1), dtype=f.dtype)
+    hi = np.empty((_J_ROWS, n + 1), dtype=f.dtype)
+    lo = np.empty_like(hi)
     best = 0
-    for j in range(1, n + 1):
-        rows = np.subtract(f[j], f[:j], out=diff[:j])
-        best = max(best, int(np.ptp(rows, axis=1).max()))
+    for j0 in range(1, n + 1, _J_ROWS):
+        f_j = f[j0:j0 + _J_ROWS, None]
+        rows, i_end = len(f_j), j0 + len(f_j) - 1
+        # a tile may hold pairs with i >= j: harmless, as the spread is
+        # symmetric in i and j, and i = j gives 0
+        for i0 in range(0, i_end, i_rows):
+            f_i = f[i0:min(i0 + i_rows, i_end)]
+            tile = np.subtract(f_j, f_i, out=diff[:rows, :len(f_i)])
+            np.max(tile, axis=2, out=hi[:rows, i0:i0 + len(f_i)])
+            np.min(tile, axis=2, out=lo[:rows, i0:i0 + len(f_i)])
+        spread = np.subtract(hi[:rows, :i_end], lo[:rows, :i_end],
+                             dtype=np.int64)
+        best = max(best, int(spread.max()))
     return Fraction(best, n)
 
 

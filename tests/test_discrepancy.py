@@ -208,6 +208,86 @@ def test_size_cap_refusal():
         d_exact(sigma, cap=39)
 
 
+def _d_exact_pairs(sigma):
+    """D by one j at a time against all i < j, in int64: the plain pair
+    loop that the tiled sweep of d_exact must agree with."""
+    n = sigma.n
+    inv = np.argsort(sigma.image)[None, :]
+    f = _deviation_rows(inv, np.arange(n + 1))[0].astype(np.int64)
+    best = max(int(np.ptp(f[j] - f[:j], axis=1).max())
+               for j in range(1, n + 1))
+    return Fraction(best, n)
+
+
+def _spy_tile_dtypes(monkeypatch):
+    """The dtypes of the difference tiles d_exact reduces along b."""
+    seen = set()
+
+    class NumpySpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def max(self, a, *args, **kwargs):
+            seen.add(a.dtype)
+            return np.max(a, *args, **kwargs)
+
+    monkeypatch.setattr(discrepancy, "np", NumpySpy())
+    return seen
+
+
+def test_d_exact_int16_tiles_up_to_twice_max_f_of_2_15(monkeypatch):
+    # identity and reversal reach max|F| = floor(n^2/4): 2*max|F| is
+    # 32512 at n = 255, so int16 holds every difference, and 32768 at
+    # n = 256, one past int16
+    seen = _spy_tile_dtypes(monkeypatch)
+    for n, dtype in ((255, np.int16), (256, np.int32)):
+        for sigma in (identity_perm(n), reversal_perm(n)):
+            seen.clear()
+            assert d_exact(sigma) == Fraction(n * n // 4, n)
+            assert seen == {np.dtype(dtype)}
+
+
+def test_d_exact_int16_tiles_with_a_spread_past_int16(monkeypatch):
+    # blocks of 52 placed by the 8-block pattern below, identity within:
+    # F is 52^2 * C on the block corners, max|C| = 6 and the best
+    # spread of C_j - C_i is 16, so 2*max|F| = 32448 passes the int16
+    # gate while n*D = 43264 needs the wider hi - lo
+    m, blocks = 52, (6, 0, 4, 2, 5, 3, 7, 1)
+    sigma = Permutation(8 * m, tuple(b * m + t for b in blocks
+                                     for t in range(m)))
+    seen = _spy_tile_dtypes(monkeypatch)
+    assert d_exact(sigma) == _d_exact_pairs(sigma) == Fraction(43264, 8 * m)
+    assert seen == {np.dtype(np.int16)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 17])
+def test_d_exact_partial_tiles_match_cyclic_oracle(n):
+    # below, at and past one 8-row j-block, and 17 = two blocks plus one
+    perms = [identity_perm(n), reversal_perm(n)]
+    perms += [random_perm(n, seed) for seed in range(3)]
+    perms += [psi(n, k) for k in (2, 3, 5) if k < n and math.gcd(k, n) == 1]
+    for sigma in perms:
+        assert d_exact(sigma) == oracle_d_cyclic(sigma)
+
+
+@pytest.mark.parametrize("n", [263, 300, 512])
+def test_d_exact_tiles_match_the_pair_loop(n, monkeypatch):
+    # random and psi members on both sides of the int16 gate, at sizes
+    # whose last i-block and (at 300) last j-block are partial
+    perms = [random_perm(n, seed) for seed in (3, 4)]
+    perms += [psi(n, k) for k in (2, 7, n - 1) if math.gcd(k, n) == 1]
+    perms.append(identity_perm(n))
+    seen = _spy_tile_dtypes(monkeypatch)
+    for sigma in perms:
+        assert d_exact(sigma) == _d_exact_pairs(sigma)
+    assert seen == {np.dtype(np.int16), np.dtype(np.int32)}
+
+
+def test_d_exact_inverse_symmetry_at_the_cap():
+    for sigma in (bit_reversal(512), random_perm(512, 5), psi(512, 5)):
+        assert d_exact(invert(sigma)) == d_exact(sigma)
+
+
 def test_deviation_rows_dtype_boundary():
     # n^2 < 2^31 exactly up to n = 46340
     for n, dtype in ((46340, np.int32), (46341, np.int64)):
