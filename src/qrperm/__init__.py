@@ -26,7 +26,7 @@ from .modular import (factorize, find_primitive_root, is_prime,
 from .qrstats import (EigenvalueStat, PropertyProfile, eigenvalue_stat,
                       pattern_count, property_profile,
                       restricted_pattern_count, restriction,
-                      separability_stat, translation_stat)
+                      translation_stat)
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       floor_surd, frac_compare, frac_float, golden,
                       is_square_free, parse_alpha, sign_of_surd, sqrt_irr)

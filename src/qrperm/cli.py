@@ -365,6 +365,10 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         pairs = vars(make_parser().parse_args(argv))
+        for key, value in pairs.items():    # --flag=-- parses to []
+            if isinstance(value, list):
+                raise QrpermError(f"argument --{key.replace('_', '-')}: "
+                                  "expected one argument")
         command = pairs.pop("command")
         cfg = resolve(command, pairs, pairs.pop("config", None))
         return _COMMANDS[command](cfg)

@@ -6,6 +6,11 @@ pattern counts on restrictions, the signed 2-subsequence imbalance
 (property_profile's two_s), separability deviations, the normalized
 interval exponential sum, and the translation-overlap sum.
 
+Separability over the halves [0, h), [h, n), h = n // 2, is one count:
+sigma is a bijection, so each of the four half-by-half deviations is
++-F(h, h)/n, where F(h, h) = n*c - h*h with c = #{x < h : sigma(x) < h}
+is one cell of the discrepancy module's prefix-deviation matrix.
+
 Pattern conventions: a pattern is a tuple like (0, 1, 2) or (1, 0)
 giving the rank order demanded of sigma on an increasing tuple of
 positions.  Restrictions take the positions of I whose image lands in
@@ -118,21 +123,6 @@ def restricted_pattern_count(sigma: Permutation, tau, i_int: Interval,
     return RestrictedCount(_pattern_counts(values, len(tau))[tau], len(pos))
 
 
-def separability_stat(sigma: Permutation, i_int: Interval, j_int: Interval,
-                      k_int: Interval, kp_int: Interval) -> Fraction:
-    """| #{x in K cap I : sigma(x) in K' cap J}
-         - |K cap I| * |K' cap J| / n |, exact."""
-    n = sigma.n
-    for ivl in (i_int, j_int, k_int, kp_int):
-        if ivl.n != n:
-            raise QrpermError("interval modulus mismatch")
-    ki = [x for x in k_int.members() if i_int.contains(x)]
-    kj = [y for y in kp_int.members() if j_int.contains(y)]
-    kj_set = frozenset(kj)
-    hits = sum(1 for x in ki if sigma.image[x] in kj_set)
-    return Fraction(abs(n * hits - len(ki) * len(kj)), n)
-
-
 @dataclass(frozen=True)
 class EigenvalueStat:
     value: float        # max over k, I of |sum| / |k|^alpha
@@ -219,6 +209,8 @@ class PropertyProfile:
     Probes are fixed so profiles are comparable: halves H1 = [0, n/2),
     H2 = [n/2, n) for separability and translation, the full domain for
     the 2-subsequence imbalance, alpha for the eigenvalue statistic.
+    sp_max is one count, |F(h, h)|/n: as sigma is a bijection, all four
+    half-by-half separability deviations are +-F(h, h)/n.
     """
 
     n: int
@@ -257,17 +249,14 @@ def property_profile(sigma: Permutation, alpha: float = 0.5,
         raise QrpermError("profiles need n >= 2")
     h = n // 2
     first = Interval(n, 0, h)
-    second = Interval(n, h, n - h)
-    full = Interval(n, 0, n)
     ub = build_report(sigma, exact_cap).d_upper
-    sp = max(separability_stat(sigma, a, b, full, full)
-             for a in (first, second) for b in (first, second))
+    c = int(np.count_nonzero(np.asarray(sigma.image[:h]) < h))
     counts = _pattern_counts(sigma.image, 3)
     eig = eigenvalue_stat(sigma, alpha) if n <= EIGEN_CAP else None
     return PropertyProfile(
         n=n, family=sigma.family, params=sigma.params, ub=ub,
         two_s=counts[(0, 1)] - counts[(1, 0)],
-        sp_max=sp, e_alpha=alpha,
+        sp_max=Fraction(abs(n * c - h * h), n), e_alpha=alpha,
         e_alpha_max=eig.value if eig else None,
         t_sum=translation_stat(sigma, first, first),
         pattern_counts=tuple((tau, c) for tau, c in counts.items()

@@ -18,6 +18,7 @@ _pool_map call over all points, then the records in emission order.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -347,10 +348,10 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
     the digest.  The summary's statistics block gives the count, min,
     max and mean of float(value) for each statistic, exact or not; the
     exact values are in the CSV only.  Both files are written in full to
-    a temporary directory in out_dir and only then renamed into place,
-    so a failure while writing leaves an existing pair as it was.  A
-    kill between the two renames pairs the new CSV with the old summary;
-    the summary's csv_body_sha256 then disagrees with the CSV body.
+    a temporary directory in out_dir, so a failed write leaves an old
+    pair as it was.  Then the old summary is unlinked, the CSV renamed
+    into place, and the summary last: an interruption leaves the old CSV
+    or the new CSV with no summary, or else the new pair.
     """
     os.makedirs(out_dir, exist_ok=True)
     seen = set()
@@ -393,6 +394,8 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
         with open(summary_tmp, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(summary_path)
         os.replace(csv_tmp, csv_path)
         os.replace(summary_tmp, summary_path)
     return EmitResult(csv_path, summary_path, digest, len(records))

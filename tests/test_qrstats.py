@@ -27,7 +27,6 @@ from qrperm import (
     restricted_pattern_count,
     restriction,
     reversal_perm,
-    separability_stat,
     translation_stat,
 )
 from qrperm import qrstats
@@ -176,40 +175,21 @@ def test_two_subseq_equals_count_difference():
 
 # ----------------------------------------------------------- separability
 
-def test_separability_collapses_to_set_discrepancy():
-    n = 64
-    sigma = random_perm(n, 21)
-    full = Interval(n, 0, n)
-    for i_int, j_int in ((Interval(n, 0, 32), Interval(n, 16, 20)),
-                         (Interval(n, 60, 10), Interval(n, 0, 64))):
-        hits = sum(1 for x in i_int.members()
-                   if j_int.contains(sigma.image[x]))
-        want = Fraction(abs(n * hits - i_int.length * j_int.length), n)
-        assert separability_stat(sigma, i_int, j_int, full, full) == want
+def _sp_max_by_definition(sigma: Permutation) -> Fraction:
+    """max |n*#{x in A : sigma(x) in B} - |A||B|| / n over the four
+    pairs of halves, counted with plain sets."""
+    n, h = sigma.n, sigma.n // 2
+    halves = [set(range(h)), set(range(h, n))]
+    return max(Fraction(abs(n * sum(1 for x in a if sigma.image[x] in b)
+                            - len(a) * len(b)), n)
+               for a in halves for b in halves)
 
 
-def test_separability_matches_definition_brute():
-    n = 64
-    sigma = psi(n + 3, 2)
-    n = sigma.n
-    probes = [Interval(n, 0, 30), Interval(n, 50, 25), Interval(n, 10, 5)]
-    for i_int in probes:
-        for j_int in probes:
-            for k_int in probes:
-                for kp_int in probes:
-                    ki = [x for x in k_int.members() if i_int.contains(x)]
-                    kj = {y for y in kp_int.members() if j_int.contains(y)}
-                    hits = sum(1 for x in ki if sigma.image[x] in kj)
-                    want = Fraction(abs(n * hits - len(ki) * len(kj)), n)
-                    got = separability_stat(sigma, i_int, j_int, k_int,
-                                            kp_int)
-                    assert got == want
-
-
-def test_separability_rejects_modulus_mismatch():
-    full5 = Interval(5, 0, 5)
-    with pytest.raises(QrpermError, match="mismatch"):
-        separability_stat(psi(5, 2), full5, full5, full5, Interval(6, 0, 6))
+def test_profile_sp_max_matches_four_pair_definition(small_corpus,
+                                                     random_pack):
+    for sigma in small_corpus + random_pack:
+        assert property_profile(sigma).sp_max == \
+            _sp_max_by_definition(sigma), sigma
 
 
 # ------------------------------------------------------------ translation

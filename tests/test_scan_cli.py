@@ -336,6 +336,30 @@ def test_emit_failure_keeps_existing_pair(tmp_path, monkeypatch):
         summary["csv_body_sha256"] == first.body_sha256
 
 
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_emit_interrupted_rename_never_leaves_a_disagreeing_pair(
+        tmp_path, monkeypatch, failing_call):
+    emit(scan_psi(5, 11), str(tmp_path), "t", {"workers": 1})
+    real_replace, calls = os.replace, []
+
+    def flaky_replace(src, dst):
+        calls.append(dst)
+        if len(calls) == failing_call:
+            raise OSError("killed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", flaky_replace)
+    with pytest.raises(OSError, match="killed"):
+        emit(scan_psi(5, 13), str(tmp_path), "t", {"workers": 1})
+    monkeypatch.undo()
+    assert len(calls) == failing_call
+    body = (tmp_path / "t.csv").read_text().split("\n", 1)[1]
+    summary_path = tmp_path / "t_summary.json"
+    assert not summary_path.exists() or \
+        json.loads(summary_path.read_text())["csv_body_sha256"] == \
+        hashlib.sha256(body.encode()).hexdigest()
+
+
 def test_emit_rejects_duplicate_records(tmp_path):
     rec = rec_q("psi-scan", 5, {}, "mean_dstar", Fraction(1, 2))
     with pytest.raises(QrpermError, match="duplicate"):
@@ -642,6 +666,20 @@ def test_cli_argparse_errors_keep_the_error_contract(capsys):
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(("qrperm ", "usage: "))
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["obryant", "--limit", "0", "--n=--"], "--n"),
+    (["disc", "--family", "psi", "--n=--", "--k", "2"], "--n"),
+    (["disc", "--family", "sos", "--n", "7", "--alpha=--"], "--alpha"),
+    (["scan-psi", "--pmin=--", "--pmax", "7"], "--pmin"),
+    (["--config=--", "disc", "--family", "psi", "--n", "7", "--k", "2"],
+     "--config"),
+])
+def test_cli_rejects_flag_equals_double_dash(argv, flag, capsys):
+    # argparse parses --flag=-- to [], a value no command can use
+    assert _assert_cli_error(argv, capsys) == \
+        f"error: argument {flag}: expected one argument\n"
 
 
 def test_cli_zaremba_rejects_non_numeric_bound(capsys):
