@@ -13,6 +13,7 @@ actually typed; see config.resolve for the precedence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -280,7 +281,11 @@ class _Parser(argparse.ArgumentParser):
         raise QrpermError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: each add_argument makes
+    a HelpFormatter, so a build takes milliseconds, and nothing changes
+    the parser after it is built (parse_args returns a fresh Namespace)."""
     parser = _Parser(
         prog="qrperm",
         description="discrepancy, exponential sums, and quasirandomness "

@@ -32,16 +32,25 @@ SIZE_FLAGS = {"n", "pmin", "pmax", "nmin", "nmax", "limit", "n_list"}
 PATH_FLAGS = {"out", "out_file", "from_file"}
 
 
-def _subcommands():
-    parser = make_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return {name: [a for a in sp._actions if a.option_strings
+# main parses with this one parser, built once per process
+PARSER = make_parser()
+SUBPARSERS = next(a for a in PARSER._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+COMMANDS = {name: [a for a in sp._actions if a.option_strings
                    and a.dest != "help"]
-            for name, sp in sub.choices.items()}
+            for name, sp in SUBPARSERS.items()}
 
 
-COMMANDS = _subcommands()
+def _parser_state():
+    """What a parse could leave behind in the shared parser: every
+    parser's defaults and every action's settings."""
+    return [(parser._defaults,
+             [(a.dest, a.option_strings, a.default, a.required, a.nargs)
+              for a in parser._actions])
+            for parser in (PARSER, *SUBPARSERS.values())]
+
+
+PARSER_STATE = _parser_state()
 
 
 def _mostly(valid, junk=JUNK):
@@ -163,6 +172,7 @@ def test_cli_fuzz_exits_cleanly(data, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert code in (0, 1), argv
+    assert make_parser() is PARSER and _parser_state() == PARSER_STATE
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1, (argv,
                                                                     err)

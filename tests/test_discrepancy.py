@@ -28,7 +28,7 @@ from qrperm import (
     sqrt_irr,
 )
 from qrperm import discrepancy, scan
-from qrperm.discrepancy import _d_star_many, _deviation_rows
+from qrperm.discrepancy import _d_star_many, _deviation_rows, _pair_bounds
 from qrperm.families import Permutation
 
 from conftest import (
@@ -219,19 +219,26 @@ def _d_exact_pairs(sigma):
     return Fraction(best, n)
 
 
-def _spy_tile_dtypes(monkeypatch):
-    """The dtypes of the difference tiles d_exact reduces along b."""
-    seen = set()
+def _spy_np_max(monkeypatch, record):
+    """Pass every array that discrepancy reduces with np.max to record:
+    d_exact calls np.max only on its exact differences F_j - F_i, one
+    pair per row of the array's leading axes."""
 
     class NumpySpy:
         def __getattr__(self, name):
             return getattr(np, name)
 
         def max(self, a, *args, **kwargs):
-            seen.add(a.dtype)
+            record(a)
             return np.max(a, *args, **kwargs)
 
     monkeypatch.setattr(discrepancy, "np", NumpySpy())
+
+
+def _spy_tile_dtypes(monkeypatch):
+    """The dtypes of the difference tiles d_exact reduces along b."""
+    seen = set()
+    _spy_np_max(monkeypatch, lambda a: seen.add(a.dtype))
     return seen
 
 
@@ -247,16 +254,21 @@ def test_d_exact_int16_tiles_up_to_twice_max_f_of_2_15(monkeypatch):
             assert seen == {np.dtype(dtype)}
 
 
-def test_d_exact_int16_tiles_with_a_spread_past_int16(monkeypatch):
-    # blocks of 52 placed by the 8-block pattern below, identity within:
-    # F is 52^2 * C on the block corners, max|C| = 6 and the best
-    # spread of C_j - C_i is 16, so 2*max|F| = 32448 passes the int16
-    # gate while n*D = 43264 needs the wider hi - lo
+def _block_perm():
+    """n = 416 in blocks of 52 placed by an 8-block pattern, identity
+    within.  F is 52^2 * C on the block corners, max|C| = 6 and the best
+    spread of C_j - C_i is 16, so 2*max|F| = 32448 passes the int16
+    gate while n*D = 43264 does not fit int16."""
     m, blocks = 52, (6, 0, 4, 2, 5, 3, 7, 1)
-    sigma = Permutation(8 * m, tuple(b * m + t for b in blocks
-                                     for t in range(m)))
+    return Permutation(8 * m, tuple(b * m + t for b in blocks
+                                    for t in range(m)))
+
+
+def test_d_exact_int16_tiles_with_a_spread_past_int16(monkeypatch):
+    # the int16 tiles need the wider hi - lo
+    sigma = _block_perm()
     seen = _spy_tile_dtypes(monkeypatch)
-    assert d_exact(sigma) == _d_exact_pairs(sigma) == Fraction(43264, 8 * m)
+    assert d_exact(sigma) == _d_exact_pairs(sigma) == Fraction(43264, 416)
     assert seen == {np.dtype(np.int16)}
 
 
@@ -270,17 +282,132 @@ def test_d_exact_partial_tiles_match_cyclic_oracle(n):
         assert d_exact(sigma) == oracle_d_cyclic(sigma)
 
 
-@pytest.mark.parametrize("n", [263, 300, 512])
+@pytest.mark.parametrize("n", [256, 263, 300, 512])
 def test_d_exact_tiles_match_the_pair_loop(n, monkeypatch):
-    # random and psi members on both sides of the int16 gate, at sizes
-    # whose last i-block and (at 300) last j-block are partial
+    # random, psi, reversal and bit-reversal members on both sides of
+    # the int16 gate, at sizes whose last i-block and (at 300) last
+    # j-block are partial
     perms = [random_perm(n, seed) for seed in (3, 4)]
     perms += [psi(n, k) for k in (2, 7, n - 1) if math.gcd(k, n) == 1]
-    perms.append(identity_perm(n))
+    perms += [identity_perm(n), reversal_perm(n)]
+    if n & (n - 1) == 0:
+        perms.append(bit_reversal(n))
     seen = _spy_tile_dtypes(monkeypatch)
     for sigma in perms:
         assert d_exact(sigma) == _d_exact_pairs(sigma)
     assert seen == {np.dtype(np.int16), np.dtype(np.int32)}
+
+
+def _spreads(f):
+    """max_b - min_b of F_j - F_i for every pair (i, j), one row j at a
+    time in int64: the brute force the pair bounds must dominate."""
+    f = f.astype(np.int64)
+    return np.array([np.ptp(f[j] - f, axis=1) for j in range(len(f))])
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int32])
+@pytest.mark.parametrize("scratch_rows", [1, 5, 1000])
+def test_pair_bounds_dominate_every_spread(small_corpus, dtype,
+                                           scratch_rows):
+    # blocks of 16 columns, with a partial last block unless 16 | n + 1,
+    # and A built in one or several row chunks
+    perms = list(small_corpus)
+    perms += [random_perm(n, seed) for n in (1, 2, 15, 16, 17, 40, 64)
+              for seed in range(3)]
+    for sigma in perms:
+        n = sigma.n
+        inv = np.argsort(sigma.image)[None, :]
+        f = _deviation_rows(inv, np.arange(n + 1))[0].astype(dtype)
+        scratch = np.empty(scratch_rows * (n + 1), dtype=dtype)
+        bound = _pair_bounds(f, scratch).astype(np.int64)
+        spreads = _spreads(f)
+        assert (bound == bound.T).all() and not bound.diagonal().any()
+        assert (spreads <= bound).all(), sigma
+
+
+def test_pair_bounds_hold_a_spread_past_int16():
+    # the int16 gate admits spreads past int16, so the bounds A + A^T
+    # must not wrap: uint16 holds them
+    sigma = _block_perm()
+    inv = np.argsort(sigma.image)[None, :]
+    f = _deviation_rows(inv, np.arange(417))[0]
+    bound = _pair_bounds(f.astype(np.int16),
+                         np.empty((8, 60, 417), dtype=np.int16))
+    spreads = _spreads(f)
+    assert bound.dtype == np.uint16
+    assert int(spreads.max()) == 43264
+    assert (spreads <= bound.astype(np.int64)).all()
+
+
+def test_d_exact_is_exact_under_tight_bounds_and_decoys(monkeypatch):
+    # any symmetric matrix with a zero diagonal that dominates the
+    # spreads is a valid bound.  Here it is the spreads themselves,
+    # which leave no slack for an off-by-one in the pruning, raised by
+    # n^2 on the pairs (j - 1, j): every row's best-bounded partner is a
+    # neighbour, so the seed is poor and every tile is swept
+    def tight_with_decoys(f, scratch):
+        spreads = _spreads(f)
+        decoy = np.eye(len(f), k=1, dtype=bool)
+        return spreads + len(f) ** 2 * (decoy | decoy.T)
+
+    monkeypatch.setattr(discrepancy, "_pair_bounds", tight_with_decoys)
+    for n in (5, 9, 16, 17, 24, 40):
+        for seed in range(10):
+            sigma = random_perm(n, seed)
+            assert d_exact(sigma) == _d_exact_pairs(sigma)
+
+
+def _stop_rule_case(sigma):
+    """Tight bounds under which the seed reaches D - 1 and only one tile
+    holds pairs of spread D, or None when sigma has no such layout.  A
+    pair belongs to the tile of its larger row j, (j - 1) // 8.  Decoys
+    lead each row r of a best pair to a partner outside that tile (row
+    n if r is in it or is row 0, else row 0), and put one pair of spread
+    D - 1 first in its rows."""
+    n = sigma.n
+    inv = np.argsort(sigma.image)[None, :]
+    spreads = _spreads(_deviation_rows(inv, np.arange(n + 1))[0])
+    lower = np.tril(spreads)
+    top = lower.max()
+    best_pairs = list(zip(*np.nonzero(lower == top)))
+    tiles = {(j - 1) // discrepancy._J_ROWS for j, _ in best_pairs}
+    if len(tiles) > 1 or tiles == {(n - 1) // discrepancy._J_ROWS}:
+        return None
+    runner_up = [(j, i) for j, i in zip(*np.nonzero(lower == top - 1))
+                 if (j - 1) // discrepancy._J_ROWS not in tiles]
+    if not runner_up:
+        return None
+    decoys = {(r, n if (r - 1) // discrepancy._J_ROWS in tiles or r == 0
+               else 0) for pair in best_pairs for r in pair}
+    bound = spreads.copy()
+    for j, i in decoys | {runner_up[0]}:
+        bound[j, i] = bound[i, j] = spreads[j, i] + n * n
+    return bound
+
+
+def test_d_exact_stops_only_below_the_tight_bound_of_the_best_pair(
+        monkeypatch):
+    # the best pairs' tile has largest bound D against a best spread of
+    # D - 1: the sweep must not stop there.  Few permutations have a pair
+    # of spread D - 1 outside that tile; these do
+    for n, seed in ((23, 9), (24, 2), (27, 4), (30, 8), (35, 3), (37, 3)):
+        sigma = random_perm(n, seed)
+        bound = _stop_rule_case(sigma)
+        assert bound is not None
+        monkeypatch.setattr(discrepancy, "_pair_bounds",
+                            lambda f, scratch: bound)
+        assert d_exact(sigma) == _d_exact_pairs(sigma)
+
+
+def test_d_exact_sweeps_few_pairs_of_a_random_member(monkeypatch):
+    # a random member's pair bounds mostly fall below D, so the exact
+    # differences (the seed pairs and the swept tiles) cover under 10%
+    # of the n(n+1)/2 pairs i < j
+    sigma = random_perm(512, 1)
+    pairs = []
+    _spy_np_max(monkeypatch, lambda a: pairs.append(a.size // a.shape[-1]))
+    assert d_exact(sigma) == _d_exact_pairs(sigma)
+    assert 0 < sum(pairs) < 0.1 * 512 * 513 / 2
 
 
 def test_d_exact_inverse_symmetry_at_the_cap():

@@ -4,10 +4,14 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qrperm
 from qrperm import (
     QrpermError,
     b_sequence,
@@ -20,7 +24,7 @@ from qrperm import (
     sqrt_irr,
     zaremba_search,
 )
-from qrperm.cli import main
+from qrperm.cli import main, make_parser
 from qrperm.config import (
     RunConfig,
     env_overrides,
@@ -680,6 +684,45 @@ def test_cli_rejects_flag_equals_double_dash(argv, flag, capsys):
     # argparse parses --flag=-- to [], a value no command can use
     assert _assert_cli_error(argv, capsys) == \
         f"error: argument {flag}: expected one argument\n"
+
+
+def test_cli_builds_one_parser_per_process():
+    assert make_parser() is make_parser()
+
+
+DISC_ARGV = ["disc", "--family", "psi", "--n", "13", "--k", "2"]
+
+
+@pytest.fixture(scope="module")
+def fresh_disc_run():
+    """stdout and exit code of one disc call in a fresh interpreter."""
+    src = str(Path(qrperm.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from qrperm.cli import main; "
+         f"sys.exit(main({DISC_ARGV!r}))"],
+        capture_output=True, text=True, env=env, check=False)
+    return done.stdout, done.returncode
+
+
+@pytest.mark.parametrize("failing", [
+    ["disc", "--family", "psi", "--n", "abc"],
+    ["disc", "--family", "psi", "--n=--", "--k", "2"],
+    ["disc", "--family", "psi", "--n", "13", "--k", "2", "--bogus"],
+    ["disc", "--family", "psi", "--n", "13", "--k", "13"],
+    ["--config", "no-such-file.cfg", *DISC_ARGV],
+    ["frobnicate"],
+])
+def test_cli_call_after_a_failed_call_matches_a_fresh_process(
+        failing, fresh_disc_run, capsys):
+    # the one shared parser keeps nothing from a call that failed in
+    # parsing, in the value checks after it, or in the command
+    _assert_cli_error(failing, capsys)
+    code = main(DISC_ARGV)
+    assert (capsys.readouterr().out, code) == fresh_disc_run
+    assert fresh_disc_run[1] == 0
 
 
 def test_cli_zaremba_rejects_non_numeric_bound(capsys):
