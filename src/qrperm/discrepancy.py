@@ -50,32 +50,32 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     non-wrapping pairs i < j suffice.  Every |F_j - F_i|
                     is at most 2 max|F| = 2n D*, so when that is at most
                     32767 the rows are cast to int16 and no difference
-                    wraps; hi - lo is taken in int64.  Otherwise F keeps
-                    its dtype.  First every pair is bounded: with the b
-                    axis cut into blocks of _BOUND_COLS = 16 columns,
-                    A[j, i] = max over blocks of (blockmax F_j -
+                    wraps; each spread is taken in int64.  Otherwise F
+                    keeps its dtype.  First every pair is bounded: with
+                    the b axis cut into blocks of _BOUND_COLS = 16
+                    columns, A[j, i] = max over blocks of (blockmax F_j -
                     blockmin F_i) >= max_b (F_j - F_i), so the spread of
                     (i, j) is at most A[j, i] + A[i, j].  That takes
-                    about a tenth of a full sweep's time and one
-                    (n + 1)^2 matrix (uint16 for int16 rows, else F's
-                    dtype).  The best
-                    spread starts at the exact spread of each row's
-                    best-bounded partner.  The exact sweep then goes in
-                    tiles of _J_ROWS = 8 rows j, in descending order of
-                    the tile's largest bound, and stops at the first
-                    tile whose bound the best spread reaches.  Within a
-                    tile it takes only the rows i whose bound against
-                    one of the tile's rows beats the best spread,
-                    gathered in chunks that keep the (8, chunk, n + 1)
-                    difference block and the chunk within
-                    2*_BLOCK_CELLS cells of reused buffers.  A skipped
-                    pair's spread is at most its bound, which is at most
-                    the best spread, so the value is exactly the full
-                    sweep's.  How much is skipped depends on the input:
-                    on the analyze benchmark's members the median share
-                    of pairs swept is 2-7% for random, lambda, eta and
-                    rho, 44% for bit_reversal(512) and 88% for psi,
-                    whose spreads crowd near D (half the pairs of
+                    about a tenth of a full sweep's time and two
+                    (n + 1)^2 matrices, A and U = A + A^T (uint16 for
+                    int16 rows, else F's dtype).  The exact sweep then
+                    goes in tiles of _J_ROWS = 8 rows j, in descending
+                    order of the tile's largest bound, from a best
+                    spread of 0, and stops at the first tile
+                    whose bound the best spread reaches.  Within a tile
+                    it takes only the rows i whose bound against one of
+                    the tile's rows beats the best spread, gathered in
+                    chunks into one reused (8, chunk, n + 1) difference
+                    block and one chunk of rows, 2*_BLOCK_CELLS cells in
+                    all, and folds each chunk's spreads into the best
+                    at once.  A skipped pair's spread is at most its
+                    bound, which is at most the best spread, so the
+                    value is exactly the full sweep's.  How much is
+                    skipped depends on the input: on the analyze
+                    benchmark's members (16 parameter sets) the median
+                    share of pairs swept is 6-12% for random, lambda,
+                    eta and rho, 44% for bit_reversal(512) and 87% for
+                    psi, whose spreads crowd near D (half the pairs of
                     psi(263, 154) lie above 0.75 D, 8% of a random
                     member's), so the bound rarely rules a pair out.
                     Cubic; the size cap refuses anything above it.
@@ -209,7 +209,7 @@ def _group_reduce(ufunc, x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _pair_bounds(f: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+def _pair_bounds(f: np.ndarray) -> np.ndarray:
     """A symmetric (n + 1)^2 matrix U with U[i, j] >= max_b - min_b of
     F_j - F_i for i != j, and a zero diagonal.
 
@@ -218,33 +218,21 @@ def _pair_bounds(f: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     max_b (F_j - F_i), so U = A + A^T bounds every spread.  Column 0 of
     F is 0, so 0 <= A <= 2 max|F|: U fits uint16 when F is int16 (the
     gate keeps 2 max|F| <= 32767), and F's own dtype otherwise, as
-    4 max|F| <= n^2.  A is built in row chunks through the scratch
-    buffer, one block of columns at a time."""
-    n1 = f.shape[0]
+    4 max|F| <= n^2.  A is built one block of columns at a time through
+    one (n + 1)^2 temporary, which then receives U."""
     # blockmax and blockmin of F, one row per block of columns
     bmax = _group_reduce(np.maximum, f.T, _BOUND_COLS)
     bmin = _group_reduce(np.minimum, f.T, _BOUND_COLS)
-    a = np.empty((n1, n1), dtype=f.dtype)
-    rows = max(1, scratch.size // n1)
-    tmp = scratch.reshape(-1)[:rows * n1].reshape(rows, n1)
-    for r0 in range(0, n1, rows):
-        chunk = a[r0:r0 + rows]
-        np.subtract(bmax[0, r0:r0 + rows, None], bmin[0], out=chunk)
-        for hi_b, lo_b in zip(bmax[1:], bmin[1:]):
-            t = np.subtract(hi_b[r0:r0 + rows, None], lo_b,
-                            out=tmp[:len(chunk)])
-            np.maximum(chunk, t, out=chunk)
+    a = np.subtract(bmax[0, :, None], bmin[0])
+    u = np.empty_like(a)
+    for hi_b, lo_b in zip(bmax[1:], bmin[1:]):
+        np.subtract(hi_b[:, None], lo_b, out=u)
+        np.maximum(a, u, out=a)
     if a.dtype == np.int16:
-        a = a.view(np.uint16)
-    u = a + a.T
+        a, u = a.view(np.uint16), u.view(np.uint16)
+    np.add(a, a.T, out=u)
     np.fill_diagonal(u, 0)
     return u
-
-
-def _take_rows(f: np.ndarray, index: np.ndarray,
-               out: np.ndarray) -> np.ndarray:
-    """The rows f[index], gathered into the first len(index) rows of out."""
-    return np.take(f, index, axis=0, mode="clip", out=out[:len(index)])
 
 
 def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
@@ -261,24 +249,7 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
     # |F_j - F_i| <= 2 max|F|: when that fits, int16 holds every difference
     if 2 * max(int(f.max()), -int(f.min())) <= np.iinfo(np.int16).max:
         f = f.astype(np.int16)
-    # one reused (_J_ROWS, i_rows, n + 1) difference block and i_rows
-    # gathered rows, within 2*_BLOCK_CELLS cells: fresh MB-sized
-    # temporaries page-fault
-    i_rows = max(1, 2 * _BLOCK_CELLS // ((_J_ROWS + 1) * (n + 1)))
-    diff = np.empty((_J_ROWS, i_rows, n + 1), dtype=f.dtype)
-    gathered = np.empty((i_rows, n + 1), dtype=f.dtype)
-    hi = np.empty((_J_ROWS, n + 1), dtype=f.dtype)
-    lo = np.empty_like(hi)
-    bound = _pair_bounds(f, diff)
-    # the best spread starts at each row's best-bounded partner
-    partner = bound.argmax(axis=1)
-    best = 0
-    for j0 in range(0, n + 1, i_rows):
-        pair_diff = _take_rows(f, partner[j0:j0 + i_rows], gathered)
-        np.subtract(f[j0:j0 + len(pair_diff)], pair_diff, out=pair_diff)
-        spread = np.subtract(np.max(pair_diff, axis=1),
-                             np.min(pair_diff, axis=1), dtype=np.int64)
-        best = max(best, int(spread.max()))
+    bound = _pair_bounds(f)
     # tile t holds the pairs i < j of its rows j: the bound of each row
     # i is its largest against the tile's rows j, and rows i from the
     # tile's last row j on only repeat pairs that the tile's rows hold
@@ -286,24 +257,29 @@ def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
     tile_bound = _group_reduce(np.maximum, bound[1:], _J_ROWS)
     last = np.minimum(starts + _J_ROWS - 1, n)
     tile_bound[np.arange(n + 1) >= last[:, None]] = 0
+    tile_max = tile_bound.max(axis=1)
+    # one reused (_J_ROWS, i_rows, n + 1) difference block and i_rows
+    # gathered rows, within 2*_BLOCK_CELLS cells: fresh MB-sized
+    # temporaries page-fault
+    i_rows = max(1, 2 * _BLOCK_CELLS // ((_J_ROWS + 1) * (n + 1)))
+    diff = np.empty((_J_ROWS, i_rows, n + 1), dtype=f.dtype)
+    gathered = np.empty((i_rows, n + 1), dtype=f.dtype)
     # tiles by descending bound: the first one whose bound the best
     # spread reaches ends the sweep, as no later pair can beat it
-    tile_max = tile_bound.max(axis=1)
+    best = 0
     for t in np.argsort(tile_max, kind="stable")[::-1]:
         if tile_max[t] <= best:
             break
         f_j = f[starts[t]:last[t] + 1, None]
-        rows = len(f_j)
         live = np.flatnonzero(tile_bound[t] > best)
         for c0 in range(0, len(live), i_rows):
-            f_i = _take_rows(f, live[c0:c0 + i_rows], gathered)
-            c1 = c0 + len(f_i)
-            tile = np.subtract(f_j, f_i, out=diff[:rows, :len(f_i)])
-            np.max(tile, axis=2, out=hi[:rows, c0:c1])
-            np.min(tile, axis=2, out=lo[:rows, c0:c1])
-        spread = np.subtract(hi[:rows, :len(live)], lo[:rows, :len(live)],
-                             dtype=np.int64)
-        best = max(best, int(spread.max()))
+            rows = live[c0:c0 + i_rows]
+            f_i = np.take(f, rows, axis=0, mode="clip",
+                          out=gathered[:len(rows)])
+            tile = np.subtract(f_j, f_i, out=diff[:len(f_j), :len(rows)])
+            spread = np.subtract(np.max(tile, axis=2),
+                                 np.min(tile, axis=2), dtype=np.int64)
+            best = max(best, int(spread.max()))
     return Fraction(best, n)
 
 

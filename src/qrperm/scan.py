@@ -324,6 +324,15 @@ def _fmt_float(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_field(text: str) -> str:
+    """text as one CSV field: in double quotes, with its own double
+    quotes doubled, when it holds a comma or a double quote (RFC 4180),
+    as a quad: alpha does."""
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def csv_rows(records: list[ScanRecord]) -> list[str]:
     rows = [",".join(CSV_COLUMNS)]
     for r in sorted(records, key=_sort_key):
@@ -332,9 +341,9 @@ def csv_rows(records: list[ScanRecord]) -> list[str]:
         else:
             vnum, vden = "", _fmt_float(r.value)
         norm = _fmt_float(r.normalized) if r.normalized is not None else ""
-        rows.append(",".join((r.family, str(r.n_or_p),
-                              _params_str(r.params), r.statistic,
-                              vnum, vden, norm, "0")))
+        rows.append(",".join(map(_csv_field, (
+            r.family, str(r.n_or_p), _params_str(r.params), r.statistic,
+            vnum, vden, norm, "0"))))
     return rows
 
 
@@ -411,7 +420,7 @@ def plot_rows(records: list[ScanRecord], statistic: str) -> list[str]:
         if r.statistic != statistic:
             continue
         y = _fmt_float(r.value if r.normalized is None else r.normalized)
-        series = _params_str(r.params) or r.family
+        series = _csv_field(_params_str(r.params) or r.family)
         rows.append(f"{r.n_or_p},{y},{series}")
     if len(rows) == 1:
         raise QrpermError(f"no rows carry statistic {statistic!r}")

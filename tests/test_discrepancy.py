@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -265,7 +266,7 @@ def _block_perm():
 
 
 def test_d_exact_int16_tiles_with_a_spread_past_int16(monkeypatch):
-    # the int16 tiles need the wider hi - lo
+    # the int16 tiles need their spreads taken in int64
     sigma = _block_perm()
     seen = _spy_tile_dtypes(monkeypatch)
     assert d_exact(sigma) == _d_exact_pairs(sigma) == Fraction(43264, 416)
@@ -306,11 +307,8 @@ def _spreads(f):
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32])
-@pytest.mark.parametrize("scratch_rows", [1, 5, 1000])
-def test_pair_bounds_dominate_every_spread(small_corpus, dtype,
-                                           scratch_rows):
-    # blocks of 16 columns, with a partial last block unless 16 | n + 1,
-    # and A built in one or several row chunks
+def test_pair_bounds_dominate_every_spread(small_corpus, dtype):
+    # blocks of 16 columns, with a partial last block unless 16 | n + 1
     perms = list(small_corpus)
     perms += [random_perm(n, seed) for n in (1, 2, 15, 16, 17, 40, 64)
               for seed in range(3)]
@@ -318,8 +316,7 @@ def test_pair_bounds_dominate_every_spread(small_corpus, dtype,
         n = sigma.n
         inv = np.argsort(sigma.image)[None, :]
         f = _deviation_rows(inv, np.arange(n + 1))[0].astype(dtype)
-        scratch = np.empty(scratch_rows * (n + 1), dtype=dtype)
-        bound = _pair_bounds(f, scratch).astype(np.int64)
+        bound = _pair_bounds(f).astype(np.int64)
         spreads = _spreads(f)
         assert (bound == bound.T).all() and not bound.diagonal().any()
         assert (spreads <= bound).all(), sigma
@@ -331,8 +328,7 @@ def test_pair_bounds_hold_a_spread_past_int16():
     sigma = _block_perm()
     inv = np.argsort(sigma.image)[None, :]
     f = _deviation_rows(inv, np.arange(417))[0]
-    bound = _pair_bounds(f.astype(np.int16),
-                         np.empty((8, 60, 417), dtype=np.int16))
+    bound = _pair_bounds(f.astype(np.int16))
     spreads = _spreads(f)
     assert bound.dtype == np.uint16
     assert int(spreads.max()) == 43264
@@ -343,9 +339,10 @@ def test_d_exact_is_exact_under_tight_bounds_and_decoys(monkeypatch):
     # any symmetric matrix with a zero diagonal that dominates the
     # spreads is a valid bound.  Here it is the spreads themselves,
     # which leave no slack for an off-by-one in the pruning, raised by
-    # n^2 on the pairs (j - 1, j): every row's best-bounded partner is a
-    # neighbour, so the seed is poor and every tile is swept
-    def tight_with_decoys(f, scratch):
+    # n^2 on the pairs (j - 1, j): every tile's bound then tops every
+    # spread, so every tile is swept, and only the tight bounds of the
+    # other pairs rule rows out
+    def tight_with_decoys(f):
         spreads = _spreads(f)
         decoy = np.eye(len(f), k=1, dtype=bool)
         return spreads + len(f) ** 2 * (decoy | decoy.T)
@@ -358,51 +355,48 @@ def test_d_exact_is_exact_under_tight_bounds_and_decoys(monkeypatch):
 
 
 def _stop_rule_case(sigma):
-    """Tight bounds under which the seed reaches D - 1 and only one tile
-    holds pairs of spread D, or None when sigma has no such layout.  A
-    pair belongs to the tile of its larger row j, (j - 1) // 8.  Decoys
-    lead each row r of a best pair to a partner outside that tile (row
-    n if r is in it or is row 0, else row 0), and put one pair of spread
-    D - 1 first in its rows."""
+    """Tight bounds under which the sweep holds a best spread of D - 1
+    when it meets the one tile with pairs of spread D, or None when
+    sigma has no such layout.  A pair belongs to the tile of its larger
+    row j, (j - 1) // 8.  One decoy (+n^2) on a pair of spread D - 1
+    outside the best pairs' tile puts the decoy's tile first, and that
+    tile holds no pair of spread D; the best pairs' tile comes next,
+    with bound exactly D."""
     n = sigma.n
     inv = np.argsort(sigma.image)[None, :]
     spreads = _spreads(_deviation_rows(inv, np.arange(n + 1))[0])
     lower = np.tril(spreads)
     top = lower.max()
-    best_pairs = list(zip(*np.nonzero(lower == top)))
-    tiles = {(j - 1) // discrepancy._J_ROWS for j, _ in best_pairs}
-    if len(tiles) > 1 or tiles == {(n - 1) // discrepancy._J_ROWS}:
+    tiles = {(j - 1) // discrepancy._J_ROWS
+             for j, _ in zip(*np.nonzero(lower == top))}
+    if len(tiles) > 1:
         return None
     runner_up = [(j, i) for j, i in zip(*np.nonzero(lower == top - 1))
                  if (j - 1) // discrepancy._J_ROWS not in tiles]
     if not runner_up:
         return None
-    decoys = {(r, n if (r - 1) // discrepancy._J_ROWS in tiles or r == 0
-               else 0) for pair in best_pairs for r in pair}
+    j, i = runner_up[0]
     bound = spreads.copy()
-    for j, i in decoys | {runner_up[0]}:
-        bound[j, i] = bound[i, j] = spreads[j, i] + n * n
+    bound[j, i] = bound[i, j] = spreads[j, i] + n * n
     return bound
 
 
 def test_d_exact_stops_only_below_the_tight_bound_of_the_best_pair(
         monkeypatch):
-    # the best pairs' tile has largest bound D against a best spread of
-    # D - 1: the sweep must not stop there.  Few permutations have a pair
-    # of spread D - 1 outside that tile; these do
+    # the decoy's tile leaves a best spread of D - 1, and the best pairs'
+    # tile has largest bound D: the sweep must not stop there.  Few
+    # permutations have a pair of spread D - 1 outside that tile; these do
     for n, seed in ((23, 9), (24, 2), (27, 4), (30, 8), (35, 3), (37, 3)):
         sigma = random_perm(n, seed)
         bound = _stop_rule_case(sigma)
         assert bound is not None
-        monkeypatch.setattr(discrepancy, "_pair_bounds",
-                            lambda f, scratch: bound)
+        monkeypatch.setattr(discrepancy, "_pair_bounds", lambda f: bound)
         assert d_exact(sigma) == _d_exact_pairs(sigma)
 
 
 def test_d_exact_sweeps_few_pairs_of_a_random_member(monkeypatch):
-    # a random member's pair bounds mostly fall below D, so the exact
-    # differences (the seed pairs and the swept tiles) cover under 10%
-    # of the n(n+1)/2 pairs i < j
+    # a random member's pair bounds mostly fall below D, so the swept
+    # tiles cover under 10% of the n(n+1)/2 pairs i < j (5.5% here)
     sigma = random_perm(512, 1)
     pairs = []
     _spy_np_max(monkeypatch, lambda a: pairs.append(a.size // a.shape[-1]))
@@ -413,6 +407,29 @@ def test_d_exact_sweeps_few_pairs_of_a_random_member(monkeypatch):
 def test_d_exact_inverse_symmetry_at_the_cap():
     for sigma in (bit_reversal(512), random_perm(512, 5), psi(512, 5)):
         assert d_exact(invert(sigma)) == d_exact(sigma)
+
+
+def test_d_exact_peak_allocation_stays_within_its_arrays():
+    # tracemalloc sees numpy's buffers.  The peak is the largest of three
+    # phases: the closed-form build of F (int32, and one temporary of
+    # its size), the bounds (F, its 16-column block maxima and minima,
+    # A and U) and the sweep (F, U and the 2*_BLOCK_CELLS cells of tile
+    # buffers), with 256 KiB of slack for the per-row and per-tile
+    # vectors.  F is int16 for bit reversal and psi, int32 for identity;
+    # A and U are uint16 or int32 to match.
+    for sigma, item in ((bit_reversal(512), 2), (identity_perm(512), 4),
+                        (psi(263, 154), 2)):
+        cells = (sigma.n + 1) ** 2
+        phases = (2 * 4 * cells,
+                  cells * item * (1 + 1 / 8 + 2),
+                  cells * item * 2 + 2 * discrepancy._BLOCK_CELLS * item)
+        tracemalloc.start()
+        try:
+            d_exact(sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(phases) + 256 * 1024, (sigma.family, peak)
 
 
 def test_deviation_rows_dtype_boundary():

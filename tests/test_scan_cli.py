@@ -1,5 +1,6 @@
 """Scan drivers, CSV emission, config layering, and the CLI surface."""
 
+import csv
 import hashlib
 import json
 import math
@@ -37,6 +38,7 @@ from qrperm.scan import (
     CSV_COLUMNS,
     csv_rows,
     emit,
+    plot_rows,
     rec_f,
     rec_q,
     scan_gauss,
@@ -379,12 +381,21 @@ def test_emit_empty_is_header_only(tmp_path):
 
 
 def test_csv_float_and_rational_cells():
-    rows = csv_rows([
+    # a quad: alpha holds commas, so its params field is quoted
+    records = [
         rec_q("f", 3, {"k": 1}, "ratio", Fraction(2, 3), 0.5),
         rec_f("f", 3, {"k": 2}, "mag", 1.25),
-    ])
+        rec_q("obryant", 20, {"alpha": "quad:1,1,5,2"}, "aset_size", 8),
+    ]
+    rows = csv_rows(records)
     assert rows[1] == "f,3,k=1,ratio,2,3,0.5,0"
     assert rows[2] == "f,3,k=2,mag,,1.25,,0"
+    assert rows[3] == 'obryant,20,"alpha=quad:1,1,5,2",aset_size,8,1,,0'
+    (fields,) = csv.reader([rows[3]])
+    assert len(fields) == len(CSV_COLUMNS) == 8
+    assert fields[2] == "alpha=quad:1,1,5,2"
+    (plot,) = csv.reader(plot_rows(records, "aset_size")[1:])
+    assert plot == ["20", "8.0", "alpha=quad:1,1,5,2"]
 
 
 def test_write_plot_data(tmp_path):
