@@ -121,7 +121,10 @@ def _deviation_rows(inv: np.ndarray, starts) -> np.ndarray:
     """The rows F(a, .) for each a in starts, for each of the K inverses
     in the (K, n) array inv: shape (K, len(starts), n + 1), in closed
     form F(a, b) = n*#{v < b : sigma^-1(v) < a} - a*b, one comparison of
-    sigma^-1 against the starts and one cumsum along b."""
+    sigma^-1 against the starts and one cumsum along b.  a*b is formed
+    _SEGMENTS rows at a time: in one piece for the D* kernel's run
+    starts, and for all n + 1 rows of d_exact as (_SEGMENTS, n + 1)
+    pieces, not a second matrix of F's size."""
     k, n = inv.shape
     dtype = np.int32 if n * n < 2**31 else np.int64
     a_col = np.asarray(starts, dtype=dtype)[:, None]
@@ -132,7 +135,9 @@ def _deviation_rows(inv: np.ndarray, starts) -> np.ndarray:
     np.less(inv.astype(dtype, copy=False)[:, None, :], a_col, out=counts)
     np.cumsum(counts, axis=2, out=counts)
     f *= n
-    f -= a_col * np.arange(n + 1, dtype=dtype)
+    b_row = np.arange(n + 1, dtype=dtype)
+    for r in range(0, len(a_col), _SEGMENTS):
+        f[:, r:r + _SEGMENTS] -= a_col[r:r + _SEGMENTS] * b_row
     return f
 
 

@@ -10,10 +10,13 @@ measured wall time goes into the JSON summary instead, where nobody
 diffs it).
 
 Workers: the point lists are embarrassingly parallel, so scans fan out
-over a fork pool when workers > 1 and run inline otherwise.  Worker
-payloads are plain tuples of ints/strings to keep pickling boring.
-scan_psi, scan_gauss and scan_sos share one driver, _scan: one
-_pool_map call over all points, then the records in emission order.
+over forked workers when workers > 1 and run inline otherwise.  Points
+are plain tuples of ints/strings, listed largest first.  Each worker
+claims the next point from one shared counter and sends its records in
+one message when no point is left; a worker that dies ends the scan
+with a QrpermError (the CLI's "error: ...").  scan_psi, scan_gauss and
+scan_sos share one driver, _scan: one _pool_map call over all points,
+then the records in emission order.
 """
 
 from __future__ import annotations
@@ -78,11 +81,74 @@ def _sort_key(r: ScanRecord):
 
 
 def _pool_map(fn, points, workers: int):
+    """[fn(pt) for pt in points], inline at one worker or one point, else
+    over min(workers, len(points)) forked workers.  Each worker claims
+    the next index from one shared counter, so points start in list
+    order (the scans list theirs largest first), and sends one message
+    through its own pipe: (True, [(index, result), ...]) or (False, exc).
+    The parent raises a worker's exception, and QrpermError for a worker
+    that died before sending; no child outlives the call."""
     if workers <= 1 or len(points) <= 1:
         return [fn(pt) for pt in points]
+    # imported here, not at the top: it loads socket and subprocess,
+    # which a scan at one worker and every other command never need
+    from multiprocessing.connection import wait
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(workers, len(points))) as pool:
-        return pool.map(fn, points, chunksize=1)
+    counter = ctx.Value("i", 0)
+    procs, readers = [], []
+    try:
+        for _ in range(min(workers, len(points))):
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            proc = ctx.Process(target=_pool_worker, daemon=True,
+                               args=(fn, points, counter, writer))
+            proc.start()
+            procs.append(proc)
+            writer.close()    # the child's copy is the only writer
+        results = [None] * len(points)
+        pending = list(readers)
+        while pending:
+            for reader in wait(pending):
+                pending.remove(reader)
+                try:
+                    ok, payload = reader.recv()
+                except EOFError:
+                    dead = procs[readers.index(reader)]
+                    dead.join()
+                    raise QrpermError(
+                        f"a scan worker died (exit code {dead.exitcode}) "
+                        "before sending its results") from None
+                if not ok:
+                    raise payload
+                for i, result in payload:
+                    results[i] = result
+        return results
+    finally:
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in procs:
+            proc.join()
+        for reader in readers:
+            reader.close()
+
+
+def _pool_worker(fn, points, counter, writer) -> None:
+    """One _pool_map worker: fn over the points it claims, one message."""
+    done = []
+    try:
+        while True:
+            with counter.get_lock():
+                i = counter.value
+                counter.value = i + 1
+            if i >= len(points):
+                break
+            done.append((i, fn(points[i])))
+        message = (True, done)
+    except Exception as exc:
+        message = (False, exc)
+    writer.send(message)
+    writer.close()
 
 
 def _scan(fn, points, workers: int) -> list[ScanRecord]:
@@ -145,8 +211,9 @@ def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
     k <= k^-1 are built directly, with no Permutation, and go to the D*
     kernel in chunks of discrepancy._rows_per_call(p): one call for all
     (p + 1)/2 of them up to p = 251 and at most four below 500, each
-    sweeping a few long runs per permutation.  Primes go to the pool
-    largest first, since the cost per prime grows like p^3."""
+    sweeping a few long runs per permutation.  Primes are listed largest
+    first, so workers claim them in that order, since the cost per prime
+    grows like p^3."""
     points = [p for p in range(pmax, max(pmin, 3) - 1, -1) if is_prime(p)]
     return _scan(_psi_prime, points, workers)
 
@@ -197,7 +264,7 @@ def scan_gauss(pmin: int, pmax: int, a_values=(1,),
     per prime."""
     a_values = tuple(a_values)
     points = [(p, a_values) for p in range(pmax, max(pmin, 5) - 1, -1)
-              if is_prime(p)]    # largest first, for the pool
+              if is_prime(p)]    # largest first, as workers claim them
     return _scan(_gauss_prime, points, workers)
 
 
@@ -253,9 +320,10 @@ def scan_sos(alpha_labels, n_list, workers: int = 1) -> list[ScanRecord]:
     discrepancy of ({s*alpha}), and the discrepancy-transfer check
     D*(beta_alpha) <= 2 * max_s d*."""
     for label in alpha_labels:
-        parse_alpha(label)          # fail fast on typos, outside the pool
+        parse_alpha(label)          # fail fast on typos, before any fork
+    # largest first, as workers claim them
     points = [(label, n) for n in sorted(map(int, n_list), reverse=True)
-              for label in alpha_labels]    # largest first, for the pool
+              for label in alpha_labels]
     if not points:
         raise QrpermError("empty sos scan")
     if points[-1][1] < 1:           # sizes run down; before any work

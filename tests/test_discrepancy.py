@@ -409,10 +409,26 @@ def test_d_exact_inverse_symmetry_at_the_cap():
         assert d_exact(invert(sigma)) == d_exact(sigma)
 
 
+def test_deviation_rows_build_needs_no_second_matrix():
+    # F plus one chunk of the a*b product, and 128 KiB for numpy's
+    # casting buffers and the small vectors
+    for sigma in (bit_reversal(512), identity_perm(512), psi(263, 154),
+                  random_perm(100, 3)):
+        inv = discrepancy._inverses(np.asarray(sigma.image)[None, :])
+        tracemalloc.start()
+        try:
+            f = _deviation_rows(inv, np.arange(sigma.n + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        slack = 4 * discrepancy._SEGMENTS * (sigma.n + 1) + 128 * 1024
+        assert peak <= f.nbytes + slack, (sigma.family, sigma.n, peak)
+
+
 def test_d_exact_peak_allocation_stays_within_its_arrays():
     # tracemalloc sees numpy's buffers.  The peak is the largest of three
-    # phases: the closed-form build of F (int32, and one temporary of
-    # its size), the bounds (F, its 16-column block maxima and minima,
+    # phases: the closed-form build of F (int32, and its int16 copy),
+    # the bounds (F, its 16-column block maxima and minima,
     # A and U) and the sweep (F, U and the 2*_BLOCK_CELLS cells of tile
     # buffers), with 256 KiB of slack for the per-row and per-tile
     # vectors.  F is int16 for bit reversal and psi, int32 for identity;
@@ -420,7 +436,7 @@ def test_d_exact_peak_allocation_stays_within_its_arrays():
     for sigma, item in ((bit_reversal(512), 2), (identity_perm(512), 4),
                         (psi(263, 154), 2)):
         cells = (sigma.n + 1) ** 2
-        phases = (2 * 4 * cells,
+        phases = (cells * (4 + 2),
                   cells * item * (1 + 1 / 8 + 2),
                   cells * item * 2 + 2 * discrepancy._BLOCK_CELLS * item)
         tracemalloc.start()

@@ -1,12 +1,16 @@
 """Scan drivers, CSV emission, config layering, and the CLI surface."""
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import multiprocessing.connection
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,6 +173,124 @@ def test_pooled_scans_call_pool_map_once(monkeypatch):
         (got_fn, points, workers), kwargs = calls[0]
         assert got_fn is fn and workers == 2 and not kwargs
         assert isinstance(points, list) and len(points) > 1
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in the body after seconds, so a scan that
+    hangs fails the test instead of the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _dies_on_7(point):
+    if point == 7:
+        os._exit(3)
+    return point
+
+
+def test_a_dead_worker_fails_the_scan(tmp_path, monkeypatch, capsys):
+    import qrperm.scan as scan_mod
+    with _deadline(20):
+        with pytest.raises(QrpermError, match=r"worker died \(exit code 3\)"):
+            scan_mod._pool_map(_dies_on_7, [5, 7, 11, 13], 2)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(scan_mod, "_psi_prime", _dies_on_7)
+        err = _assert_cli_error(["scan-psi", "--pmin", "5", "--pmax", "13",
+                                 "--workers", "2", "--out", str(tmp_path),
+                                 "--base", "dead"], capsys)
+        assert "worker died" in err
+    assert not (tmp_path / "dead.csv").exists()
+
+
+def test_worker_errors_reach_main_as_at_one_worker(tmp_path, monkeypatch,
+                                                   capsys):
+    import qrperm.scan as scan_mod
+
+    def refuse_11(p):
+        if p == 11:
+            raise QrpermError(f"no scan at p = {p}")
+        return []
+
+    monkeypatch.setattr(scan_mod, "_psi_prime", refuse_11)
+    errs = []
+    with _deadline(20):
+        for workers in ("1", "2"):
+            errs.append(_assert_cli_error(
+                ["scan-psi", "--pmin", "5", "--pmax", "13", "--workers",
+                 workers, "--out", str(tmp_path), "--base", "e"], capsys))
+    assert errs == ["error: no scan at p = 11\n"] * 2
+
+
+def _sleep_then_index(point):
+    index, seconds = point
+    time.sleep(seconds)
+    return index
+
+
+def test_pool_map_leaves_no_children(monkeypatch):
+    import qrperm.scan as scan_mod
+    with _deadline(20):
+        assert scan_mod._pool_map(abs, [-1, -2, -3], 2) == [1, 2, 3]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ZeroDivisionError):
+            scan_mod._pool_map(lambda x: 1 // x, [2, 1, 0, 3], 2)
+        assert multiprocessing.active_children() == []
+
+        # the parent raising while it collects ends a worker still busy
+        def interrupted(self):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                            interrupted)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            scan_mod._pool_map(_sleep_then_index, [(0, 0.0), (1, 5.0)], 2)
+        assert time.monotonic() - t0 < 4.0
+        assert multiprocessing.active_children() == []
+
+
+def test_pool_map_claims_each_point_once(tmp_path):
+    # more workers than cores, all claiming from the one counter: each
+    # call appends its point to one file, so a lost update shows as a
+    # point written twice.  Enough points that the workers overlap: with
+    # the lock taken out, six runs each wrote 27 to 173 thousand repeats
+    import qrperm.scan as scan_mod
+    log = tmp_path / "claims"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def claim(point):
+        os.write(fd, b"%d\n" % point)
+        return -point
+
+    points = list(range(100000))
+    try:
+        with _deadline(30):
+            got = scan_mod._pool_map(claim, points, 6)
+    finally:
+        os.close(fd)
+    assert got == [-p for p in points]
+    assert sorted(map(int, log.read_bytes().split())) == points
+
+
+def test_pool_map_keeps_input_order():
+    import qrperm.scan as scan_mod
+    with _deadline(20):
+        # more workers than points
+        assert scan_mod._pool_map(lambda x: x * x, [3, 1, 2], 8) == [9, 1, 4]
+        # point 0 keeps one worker busy while the other does the rest,
+        # so the later points finish, and their message arrives, first
+        finish = scan_mod._pool_map(
+            lambda pt: (_sleep_then_index(pt), time.monotonic()),
+            [(0, 0.5), (1, 0.0), (2, 0.0), (3, 0.0)], 2)
+    assert [index for index, _ in finish] == [0, 1, 2, 3]
+    assert finish[3][1] < finish[0][1]
 
 
 def test_scan_gauss_recomputes_from_power_sums():
