@@ -28,8 +28,8 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     vector operations.  The sweep is one kernel,
                     _d_star_many(images, n), which steps the runs of K
                     permutations together; d_star is its K = 1 call.
-                    One rule sets the run count: the most runs, from
-                    _MIN_RUNS = 4 to _SEGMENTS = 32, whose
+                    One rule, _runs, sets the run count: the most
+                    runs, from _MIN_RUNS = 4 to _SEGMENTS = 32, whose
                     (K, runs, n + 1) block fits in _BLOCK_CELLS, so one
                     permutation gets 32 runs up to n = 4095, and a large
                     batch gets fewer, longer runs and so fewer
@@ -141,7 +141,16 @@ def _deviation_rows(inv: np.ndarray, starts) -> np.ndarray:
     return f
 
 
-def _run_starts(n: int, runs: int = _SEGMENTS) -> tuple[int, np.ndarray]:
+def _runs(cells: int) -> int:
+    """How many runs an O(n^2) sweep steps together when each run holds
+    cells cells: the most, from _MIN_RUNS to _SEGMENTS, whose block
+    fits in _BLOCK_CELLS.  _d_star_many passes K * (n + 1)
+    and the prefix-star sweep n + 1, so one permutation gets 32 runs up
+    to n = 4095 from either."""
+    return min(_SEGMENTS, max(_MIN_RUNS, _BLOCK_CELLS // cells))
+
+
+def _run_starts(n: int, runs: int) -> tuple[int, np.ndarray]:
     """Cut rows 0..n-1 into runs of span = ceil(n / runs) rows: (span,
     first row of each run).  The last run starts at n - span and may
     overlap the one before it."""
@@ -154,12 +163,11 @@ def _d_star_many(images: np.ndarray, n: int) -> np.ndarray:
     int64: the D* kernel, count scale.
 
     Rows 0..n-1 of each F are cut into runs of span = ceil(n / runs)
-    rows (row n is zero), where runs = min(_SEGMENTS, max(_MIN_RUNS,
-    _BLOCK_CELLS // (K * (n + 1)))): the most runs whose (K, runs,
-    n + 1) block fits in _BLOCK_CELLS, so 32 for one permutation up to
-    n = 4095 and fewer, longer runs for a large batch.  Only a batch of
-    more than _rows_per_call(n) permutations, or one above n = 32767,
-    needs the _MIN_RUNS floor and overruns the block.
+    rows (row n is zero), where runs = _runs(K * (n + 1)): the most runs
+    whose (K, runs, n + 1) block fits in _BLOCK_CELLS, so 32 for one
+    permutation up to n = 4095 and fewer, longer runs for a large batch.
+    Only a batch of more than _rows_per_call(n) permutations, or one
+    above n = 32767, needs the _MIN_RUNS floor and overruns the block.
     The last run starts at n - span and may overlap the one before it;
     rows seen twice do not change a max.  Each run's first row comes
     from _deviation_rows, and then all K * runs runs step forward
@@ -170,9 +178,7 @@ def _d_star_many(images: np.ndarray, n: int) -> np.ndarray:
     runs in the narrowest of int16 (n <= 360), int32 (n <= 92679) and
     int64 that holds that, whatever dtype the closed-form rows needed.
     """
-    cells = max(1, images.shape[0]) * (n + 1)    # one run of each row
-    runs = min(_SEGMENTS, max(_MIN_RUNS, _BLOCK_CELLS // cells))
-    span, starts = _run_starts(n, runs)
+    span, starts = _run_starts(n, _runs(max(1, images.shape[0]) * (n + 1)))
     bound = n * n // 4 + n
     dtype = next(t for t in (np.int16, np.int32, np.int64)
                  if bound <= np.iinfo(t).max)

@@ -20,13 +20,13 @@ Prefix star discrepancy: prefix_star_nums gives the star discrepancy of
 every prefix of a point sequence in one sweep over the rank-indexed
 count matrix G(s, b) = #{q < s : rank_q < b}.  The sweep itself is
 _prefix_star_rows, which evaluates any set of rows given as runs of
-consecutive rows: prefix_star_nums is its all-rows call, in d_star's
-runs.  Columns go in blocks of _PREFIX_BLOCK, so a sweep costs O(n^2)
-time and O(n) + O(block) memory, and every row has the bits of a
-per-prefix loop.  max_prefix_star runs it over the Kronecker sequence
-{s*alpha}, and discrelation_holds decides D*(beta_alpha) <= 2 * that
-maximum exactly: with Fractions for rational alpha, in surd arithmetic
-at the winning box for irrational alpha.
+consecutive rows: prefix_star_nums is its all-rows call.  It cuts rows
+by d_star's one rule, _runs(n + 1) runs over whole rows, so a sweep
+costs O(n^2) time and O(n) memory, 3*runs*(n + 1) cells, and every row
+has the bits of a per-prefix loop.  max_prefix_star runs it over the
+Kronecker sequence {s*alpha}, and discrelation_holds decides
+D*(beta_alpha) <= 2 * that maximum exactly: with Fractions for rational
+alpha, in surd arithmetic at the winning box for irrational alpha.
 
 Irrational alpha takes two steps, and keeps the bits of one float sweep.
 
@@ -49,7 +49,9 @@ Irrational alpha takes two steps, and keeps the bits of one float sweep.
   within n + 1 of 2^k times the float entry, and the float maximum and
   every row tied with it have fixed entries >= max - 2(n + 1).  Those
   candidate rows, each its own run, are evaluated in float64 by the
-  same kernel.
+  same kernel; when they are more than half of all rows (golden keeps
+  49256 of 50000), one all-rows float sweep is cheaper and gives the
+  same bits.
 """
 
 from __future__ import annotations
@@ -62,14 +64,13 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .discrepancy import _SEGMENTS, _run_starts
+from .discrepancy import _run_starts, _runs
 from .errors import QrpermError, SizeRefusedError
 from .families import Permutation
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       sign_of_surd)
 
-_PREFIX_BLOCK = 1024  # columns per block of the prefix-star sweep
-_FIXED_BITS = 31      # the fixed-point filter sweeps in int32
+_FIXED_BITS = 31  # the fixed-point filter sweeps in int32
 
 
 def _earlier_smaller(values) -> np.ndarray:
@@ -235,6 +236,22 @@ def _fixed_nums(ranks, y) -> tuple[np.ndarray, int]:
                             scale), scale
 
 
+def _candidate_nums(ranks, y, cut) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, nums): the rows s - 1 whose fixed-point entry is at least
+    cut(fixed, scale), with row n - 1 always among them, and their
+    entries of the float sweep prefix_star_nums(ranks, y, 1), bit for
+    bit.  Up to half of all rows, each is its own run; a single-row run
+    costs 2-2.5 times a swept row, so above that one all-rows sweep is
+    cheaper."""
+    fixed, scale = _fixed_nums(ranks, y)
+    keep = fixed >= cut(fixed, scale)
+    keep[-1] = True
+    rows = np.flatnonzero(keep)
+    if 2 * len(rows) > len(y):
+        return rows, prefix_star_nums(ranks, y, 1)[rows]
+    return rows, _prefix_star_rows(ranks, y, 1, rows[None, :])[0]
+
+
 def max_prefix_star(alpha, beta: Permutation) -> PrefixStar:
     """Star discrepancy of every prefix of ({s*alpha})_{s<=n}, maximised.
 
@@ -252,13 +269,11 @@ def max_prefix_star(alpha, beta: Permutation) -> PrefixStar:
     n = beta.n
     r, den = _prefix_points(alpha, beta.image)
     if isinstance(alpha, QuadraticIrrational):
-        fixed, _ = _fixed_nums(beta.image, r)
         # a row outside the candidates is below the float maximum, so
-        # the first maximum over these rows is the sweep's
-        keep = fixed >= fixed.max() - 2 * (n + 1)
-        keep[-1] = True  # row n gives final
-        rows = np.flatnonzero(keep)
-        nums = _prefix_star_rows(beta.image, r, den, rows[None, :])[0]
+        # the first maximum over these rows is the sweep's; row n gives
+        # final
+        rows, nums = _candidate_nums(
+            beta.image, r, lambda fixed, _: fixed.max() - 2 * (n + 1))
         i = int(np.argmax(nums))
         best_s, value, final = int(rows[i]) + 1, nums[i].item(), \
             nums[-1].item()
@@ -311,9 +326,8 @@ def discrelation_holds(alpha, beta: Permutation, ds: Fraction,
     if prefix.value < low:
         return False
     r, den = _prefix_points(alpha, beta.image)
-    fixed, scale = _fixed_nums(beta.image, r)
-    rows = np.flatnonzero(fixed >= scale * low - (n + 2))
-    nums = _prefix_star_rows(beta.image, r, den, rows[None, :])[0]
+    rows, nums = _candidate_nums(beta.image, r,
+                                 lambda _, scale: scale * low - (n + 2))
     for s in rows[nums >= low] + 1:
         vals, qs, counts = _row_boxes(beta.image, r, den, int(s))
         for i in np.flatnonzero(vals >= low):
@@ -326,14 +340,14 @@ def prefix_star_nums(ranks, r, den: int) -> np.ndarray:
     """Star discrepancy (count scale) of every prefix of the points
     r[q] / den, r[q] in [0, den), times den; entry s - 1 covers the
     first s points.  ranks orders the points as r does, ties broken
-    either way.  The all-rows call of _prefix_star_rows, in d_star's
-    _run_starts runs; int32 wherever den*(n + 1) < 2^31.
+    either way.  The all-rows call of _prefix_star_rows, in _runs(n + 1)
+    runs as d_star cuts them; int32 wherever den*(n + 1) < 2^31.
     """
     n = len(r)
     _refuse_wide(den, n)
     out = np.empty(n, dtype=np.asarray(r).dtype)
     if n:
-        span, starts = _run_starts(n)
+        span, starts = _run_starts(n, _runs(n + 1))
         rows = starts + np.arange(span)[:, None]  # row a holds a + 1 points
         out[rows] = _prefix_star_rows(ranks, r, den, rows)
     return out
@@ -355,13 +369,13 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
     counter serves both conventions and tied points.
 
     Each run's first row is one cumsum, and the runs step together by
-    den*G += den*[b > rank(s)].  Columns go in blocks of _PREFIX_BLOCK,
-    each carrying its runs' counts at its left edge into the next, and
-    runs go in groups whose block stays within _SEGMENTS *
-    (_PREFIX_BLOCK + 1) cells, so memory is O(n) plus that block.  s*y
-    is computed afresh on every row, and fl(s*y) is monotone in y, so
-    float r (den = 1) gives the bits of a per-prefix loop, whatever the
-    runs.  den*(n + 1) < 2^62, as prefix_star_nums checks.
+    den*G += den*[b > rank(s)] over whole rows.  Runs go in groups of
+    _runs(n + 1), the rule that sizes d_star's runs, each group one
+    (runs, n + 1) block in three reused buffers, so memory is O(n):
+    3*runs*(n + 1) cells.  s*y is computed afresh on every row, and
+    fl(s*y) is monotone in y, so float r (den = 1) gives the bits of a
+    per-prefix loop, whatever the runs.  den*(n + 1) < 2^62, as
+    prefix_star_nums checks.
     """
     n = len(r)
     g = np.asarray(ranks, dtype=np.int64)
@@ -378,14 +392,15 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
     out = np.empty(rows.shape, dtype=val)
     inv = np.empty(n, dtype=np.int64)
     inv[g] = np.arange(n)
-    y = r[inv].astype(pdt)
-    span, width = len(rows), min(_PREFIX_BLOCK, n)
-    group = max(1, _SEGMENTS * (_PREFIX_BLOCK + 1) // (width + 1))
-    # den*[b > v] on columns c0..c0+width is the window at n - v + c0
-    steps = np.zeros(2 * n + width + 1, dtype=cnt)
+    y = np.zeros(n + 1, dtype=pdt)  # y[n] pads the flat closed-box read
+    y[:n] = r[inv]
+    span, group = len(rows), _runs(n + 1)
+    # den*[b > v] on columns 0..n is the window at n - v
+    steps = np.zeros(2 * n + 1, dtype=cnt)
     steps[n + 1:] = den
-    step_rows = sliding_window_view(steps, width + 1)
-    hbuf = np.empty(min(group, rows.shape[1]) * (width + 1), dtype=cnt)
+    step_rows = sliding_window_view(steps, n + 1)
+    # reused buffers: fresh MB-sized temporaries page-fault
+    hbuf = np.empty(min(group, rows.shape[1]) * (n + 1), dtype=cnt)
     pbuf = np.empty_like(hbuf, dtype=val)
     ubuf = np.empty_like(hbuf, dtype=val)
     for j in range(0, rows.shape[1], group):
@@ -394,33 +409,23 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
         a_col = part[:1].T
         s_col = (a_col + 1).astype(pdt)
         at = n - g[part]
-        left = np.zeros((runs, 1), dtype=cnt)  # den*G at the left edge
+        # contiguous (runs, n + 1) blocks, also read flat: column n of p
+        # is padding, so closed boxes read den*G one cell right
+        k = runs * (n + 1)
+        hf, pf, uf = hbuf[:k], pbuf[:k], ubuf[:k]
+        h, p, u = (f.reshape(runs, n + 1) for f in (hf, pf, uf))
+        h[:, 0] = 0  # h = den*G(s, 0..n)
+        np.cumsum(inv <= a_col, axis=1, out=h[:, 1:])
+        h[:, 1:] *= den
         closed = np.empty((span, runs), dtype=val)
         opened = np.empty((span, runs), dtype=val)
-        best = None
-        for c0 in range(0, n, width):
-            w = min(width, n - c0)
-            # contiguous (runs, w + 1) blocks, also read flat: column w
-            # of p is padding, so closed boxes read den*G one cell right
-            k = runs * (w + 1)
-            hf, pf, uf = hbuf[:k], pbuf[:k], ubuf[:k]
-            h, p, u = (f.reshape(runs, w + 1) for f in (hf, pf, uf))
-            h[:, :1] = left  # h = den*G(s, c0..c0+w)
-            np.cumsum(inv[c0:c0 + w] <= a_col, axis=1, out=h[:, 1:])
-            h[:, 1:] *= den
-            h[:, 1:] += left
-            left = h[:, -1:].copy()
-            yb = np.zeros(w + 1, dtype=pdt)
-            yb[:w] = y[c0:c0 + w]
-            for t in range(span):
-                if t:
-                    h += step_rows[at[t] + c0, :w + 1]
-                np.multiply(s_col + t, yb, out=p)
-                np.subtract(hf[1:], pf[:-1], out=uf[:-1])  # closed boxes
-                np.subtract(pf, hf, out=pf)                # open boxes
-                u[:, :w].max(axis=1, out=closed[t])
-                p[:, :w].max(axis=1, out=opened[t])
-            blk = np.maximum(closed, opened)
-            best = blk if best is None else np.maximum(best, blk, out=best)
-        out[:, j:j + group] = best
+        for t in range(span):
+            if t:
+                h += step_rows[at[t]]
+            np.multiply(s_col + t, y, out=p)
+            np.subtract(hf[1:], pf[:-1], out=uf[:-1])  # closed boxes
+            np.subtract(pf, hf, out=pf)                # open boxes
+            u[:, :n].max(axis=1, out=closed[t])
+            p[:, :n].max(axis=1, out=opened[t])
+        np.maximum(closed, opened, out=out[:, j:j + group])
     return out

@@ -35,7 +35,7 @@ from qrperm import (
     sos_perm,
     sqrt_irr,
 )
-from qrperm import ranksets
+from qrperm import discrepancy, ranksets
 
 from conftest import b_of_k, real_star_disc
 
@@ -264,9 +264,10 @@ def _assert_same_as_triangle(ranks, r, den):
 
 
 def test_prefix_star_nums_matches_triangle_on_random_keys(monkeypatch):
+    # a block of 1 cell forces _MIN_RUNS runs, 300 gives 4 to 32 by n
     rng = np.random.default_rng(20031)
-    for block in (1, 3, 1024):
-        monkeypatch.setattr(ranksets, "_PREFIX_BLOCK", block)
+    for cells in (1, 300, discrepancy._BLOCK_CELLS):
+        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", cells)
         for case in range(120):
             n = int(rng.integers(1, 91))
             if case % 2:   # floats on a coarse grid, so with ties
@@ -279,8 +280,10 @@ def test_prefix_star_nums_matches_triangle_on_random_keys(monkeypatch):
 
 
 def test_prefix_star_nums_matches_triangle_at_run_and_block_edges():
+    # one-row runs below 32, an overlapping last run at 33, and at
+    # n = 4097 the first n with fewer than 32 runs
     rng = np.random.default_rng(7)
-    for n in (1, 31, 33, 1023, 1025, 2049):
+    for n in (1, 31, 33, 1023, 1025, 2049, 4097):
         r = rng.random(n)
         _assert_same_as_triangle(_ranks_with_ties(r, rng), r, 1)
         r = rng.integers(0, 97, n)
@@ -384,26 +387,44 @@ def test_max_prefix_star_equals_full_float_sweep(label):
 
 
 def test_max_prefix_star_with_hundreds_of_candidates(monkeypatch):
-    # a low bit budget widens the slack to most rows: several groups of
-    # single-row runs, and (sqrt:3 at n = 4, sqrt:61 at n = 12) rows
-    # tied at the maximum, where the first must win
-    widest = []
+    # a low bit budget widens the slack: at n = 300 some alphas keep 81
+    # to 131 rows, several groups of single-row runs, and the others
+    # more than half, which one all-rows float sweep replaces; (sqrt:3
+    # at n = 4, sqrt:61 at n = 12) rows tied at the maximum, where the
+    # first must win
+    widest, float_sweeps, sides = [], [], set()
     rows_of = ranksets._prefix_star_rows
+    sweep = ranksets.prefix_star_nums
 
-    def spied(ranks, r, den, rows):
+    def spied_rows(ranks, r, den, rows):
         widest.append(np.shape(rows)[1])
         return rows_of(ranks, r, den, rows)
 
+    def spied_sweep(ranks, r, den):
+        if np.asarray(r).dtype.kind == "f":
+            float_sweeps.append(len(r))
+        return sweep(ranks, r, den)
+
     monkeypatch.setattr(ranksets, "_FIXED_BITS", 18)
-    monkeypatch.setattr(ranksets, "_prefix_star_rows", spied)
     for label in WALK_ALPHAS:
         alpha = parse_alpha(label)
         for n in (4, 12, 300):
             beta = sos_perm(n, alpha)
-            assert _as_tuple(max_prefix_star(alpha, beta)) == \
-                _full_sweep_prefix_star(alpha, beta), (label, n)
-    group = ranksets._SEGMENTS * (ranksets._PREFIX_BLOCK + 1) // 301
-    assert max(widest) > 2 * group
+            want = _full_sweep_prefix_star(alpha, beta)
+            r, _ = ranksets._prefix_points(alpha, beta.image)
+            fixed, _ = ranksets._fixed_nums(beta.image, r)
+            many = 2 * np.sum(fixed >= fixed.max() - 2 * (n + 1)) > n
+            monkeypatch.setattr(ranksets, "_prefix_star_rows", spied_rows)
+            monkeypatch.setattr(ranksets, "prefix_star_nums", spied_sweep)
+            assert _as_tuple(max_prefix_star(alpha, beta)) == want, \
+                (label, n)
+            monkeypatch.setattr(ranksets, "_prefix_star_rows", rows_of)
+            monkeypatch.setattr(ranksets, "prefix_star_nums", sweep)
+            assert float_sweeps == ([n] if many else []), (label, n)
+            float_sweeps.clear()
+            sides.add(bool(many))
+    assert sides == {True, False}
+    assert max(widest) > 2 * discrepancy._runs(301)
     assert max_prefix_star(sqrt_irr(3), sos_perm(4, sqrt_irr(3))).argmax_s \
         == 2
     alpha = parse_alpha("sqrt:61")
@@ -411,9 +432,12 @@ def test_max_prefix_star_with_hundreds_of_candidates(monkeypatch):
 
 
 def test_prefix_star_rows_over_all_rows_is_prefix_star_nums(monkeypatch):
+    # a block of 1 cell makes groups of _MIN_RUNS runs: two groups for 7
+    # runs, and one per 4 single rows
     rng = np.random.default_rng(5)
-    for block, sizes in ((3, (1, 2, 31, 33)), (1024, (1, 300, 1025))):
-        monkeypatch.setattr(ranksets, "_PREFIX_BLOCK", block)
+    for cells, sizes in ((1, (1, 2, 31, 33)),
+                         (discrepancy._BLOCK_CELLS, (1, 300, 1025))):
+        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", cells)
         for n in sizes:
             for r, den in ((rng.random(n), 1),
                            (np.floor(rng.random(n) * 9) / 9, 1),
@@ -427,7 +451,7 @@ def test_prefix_star_rows_over_all_rows_is_prefix_star_nums(monkeypatch):
                     got = np.empty_like(want)
                     got[rows] = ranksets._prefix_star_rows(ranks, r, den,
                                                            rows)
-                    assert got.tobytes() == want.tobytes(), (n, den, block)
+                    assert got.tobytes() == want.tobytes(), (n, den, cells)
 
 
 # -------------------------------------------- discrelation, decided exactly
@@ -511,7 +535,7 @@ def _discrelation_full_sweep(alpha, beta, ds, prefix):
     return False
 
 
-@pytest.mark.parametrize("bits", [31, 18])
+@pytest.mark.parametrize("bits", [31, 18, 14])
 def test_discrelation_rerun_matches_full_float_sweep(monkeypatch, bits):
     reruns = []
     fixed_nums = ranksets._fixed_nums

@@ -418,7 +418,7 @@ def test_emit_schema_and_sorting(tmp_path):
     records = scan_psi(5, 19)
     res = emit(records, str(tmp_path), "t", {"workers": 1})
     assert res.rows == len(records)
-    lines = open(res.csv_path).read().splitlines()
+    lines = Path(res.csv_path).read_text().splitlines()
     assert lines[0].startswith("# config: ")
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2 + len(records)
@@ -429,7 +429,7 @@ def test_emit_schema_and_sorting(tmp_path):
         assert cells[-1] == "0"  # wall time never lands in the body
         keys.append((int(cells[1]), cells[0], cells[2], cells[3]))
     assert keys == sorted(keys)
-    summary = json.load(open(res.summary_path))
+    summary = json.loads(Path(res.summary_path).read_text())
     assert summary["rows"] == len(records)
     assert summary["csv_body_sha256"] == res.body_sha256
     assert summary["config"] == {"workers": "1"}
@@ -441,10 +441,10 @@ def test_emit_digest_ignores_config_echo(tmp_path):
     a = emit(records, str(tmp_path), "a", {"workers": 1})
     b = emit(records, str(tmp_path), "b", {"workers": 8, "note": "x"})
     assert a.body_sha256 == b.body_sha256
-    body = open(a.csv_path).read().split("\n", 1)[1]
+    body = Path(a.csv_path).read_text().split("\n", 1)[1]
     assert hashlib.sha256(body.encode()).hexdigest() == a.body_sha256
-    first_a = open(a.csv_path).readline()
-    first_b = open(b.csv_path).readline()
+    first_a = Path(a.csv_path).read_text().splitlines()[0]
+    first_b = Path(b.csv_path).read_text().splitlines()[0]
     assert first_a != first_b
 
 
@@ -458,8 +458,8 @@ def test_emit_failure_keeps_existing_pair(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         emit(scan_psi(5, 13), str(tmp_path), "t", {"workers": 1})
     assert sorted(os.listdir(tmp_path)) == ["t.csv", "t_summary.json"]
-    body = open(first.csv_path).read().split("\n", 1)[1]
-    summary = json.loads(open(first.summary_path).read())
+    body = Path(first.csv_path).read_text().split("\n", 1)[1]
+    summary = json.loads(Path(first.summary_path).read_text())
     assert hashlib.sha256(body.encode()).hexdigest() == \
         summary["csv_body_sha256"] == first.body_sha256
 
@@ -496,7 +496,7 @@ def test_emit_rejects_duplicate_records(tmp_path):
 
 def test_emit_empty_is_header_only(tmp_path):
     res = emit([], str(tmp_path), "empty", {"pmin": 24, "pmax": 28})
-    lines = open(res.csv_path).read().splitlines()
+    lines = Path(res.csv_path).read_text().splitlines()
     assert len(lines) == 2
     assert lines[1] == ",".join(CSV_COLUMNS)
     assert res.rows == 0
@@ -524,7 +524,7 @@ def test_write_plot_data(tmp_path):
     records = scan_psi(5, 19)
     path = str(tmp_path / "plot.csv")
     wrote = write_plot_data(records, path, "mean_dstar")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "x,y,series"
     assert wrote == len(lines) - 1 == 6  # one row per prime in [5, 19]
 
@@ -605,7 +605,7 @@ def test_cli_gen_and_disc_round_trip(tmp_path, capsys):
     assert main(["gen", "--family", "psi", "--n", "5", "--k", "2",
                  "--out-file", out_file]) == 0
     capsys.readouterr()
-    sigma = from_text(open(out_file).read())
+    sigma = from_text(Path(out_file).read_text())
     assert sigma.image == (0, 2, 4, 1, 3)
     assert main(["disc", "--from-file", out_file]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -645,7 +645,7 @@ def test_cli_scan_psi_with_plot(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "t1.csv"))
     assert os.path.exists(os.path.join(out, "t1_summary.json"))
     plot = os.path.join(out, "t1_plot_mean_dstar.csv")
-    assert len(open(plot).read().splitlines()) == 7
+    assert len(Path(plot).read_text().splitlines()) == 7
 
 
 def test_cli_scan_plot_unknown_statistic(tmp_path, capsys):
@@ -943,11 +943,11 @@ def test_cli_worker_counts_give_identical_bodies(tmp_path, capsys):
     assert main(["scan-psi", "--pmin", "5", "--pmax", "31", "--out", out,
                  "--base", "w2", "--workers", "2"]) == 0
     capsys.readouterr()
-    body1 = open(os.path.join(out, "w1.csv")).read().split("\n", 1)[1]
-    body2 = open(os.path.join(out, "w2.csv")).read().split("\n", 1)[1]
+    body1 = Path(os.path.join(out, "w1.csv")).read_text().split("\n", 1)[1]
+    body2 = Path(os.path.join(out, "w2.csv")).read_text().split("\n", 1)[1]
     assert body1 == body2
-    s1 = json.load(open(os.path.join(out, "w1_summary.json")))
-    s2 = json.load(open(os.path.join(out, "w2_summary.json")))
+    s1 = json.loads(Path(os.path.join(out, "w1_summary.json")).read_text())
+    s2 = json.loads(Path(os.path.join(out, "w2_summary.json")).read_text())
     assert s1["csv_body_sha256"] == s2["csv_body_sha256"]
     assert s1["config"]["workers"] == "1"
     assert s2["config"]["workers"] == "2"
