@@ -29,7 +29,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import QrpermError
 from .quadirr import QuadraticIrrational, floor_surd
@@ -89,9 +88,6 @@ def cf_of_rational(num: int, den: int) -> ContinuedFraction:
     return ContinuedFraction(a0, tuple(quotients))
 
 
-# a Sos scan point reads alpha's expansion twice, in the three-distance
-# walk and in its quotient profile; both values are frozen
-@lru_cache(maxsize=64)
 def cf_of_quadratic(alpha: QuadraticIrrational) -> ContinuedFraction:
     """Expansion of a quadratic irrational with exact period detection."""
     # normalize to (P + sqrt(D)) / Q with the sqrt coefficient +1

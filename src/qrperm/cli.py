@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from dataclasses import asdict
@@ -191,8 +192,21 @@ def cmd_scan_gauss(cfg: RunConfig) -> int:
                         _echo(cfg, "pmin", "pmax", "a_values"), ms)
 
 
+def _alpha_labels(text: str) -> list[str]:
+    """The alpha handles of a comma list; a quad: or -quad: handle keeps
+    the four fields a,b,d,c that follow its colon."""
+    toks = (tok.strip() for tok in text.split(","))
+    labels = []
+    for tok in toks:
+        if tok.startswith(("quad:", "-quad:")):
+            tok = ",".join([tok, *itertools.islice(toks, 3)])
+        if tok:
+            labels.append(tok)
+    return labels
+
+
 def cmd_scan_sos(cfg: RunConfig) -> int:
-    labels = [tok.strip() for tok in cfg.alphas.split(",") if tok.strip()]
+    labels = _alpha_labels(cfg.alphas)
     n_list = parse_int_list(cfg.n_list, "--n-list")
     records, ms = timed(scan_sos, labels, n_list, workers=cfg.workers)
     return _finish_scan(cfg, records, "sos_scan",
@@ -334,7 +348,8 @@ def make_parser() -> argparse.ArgumentParser:
                         "statistic")
 
     sp = sub.add_parser("scan-sos", help="Sos permutation scan")
-    sp.add_argument("--alphas", help="comma list of alpha handles (a "
+    sp.add_argument("--alphas", help="comma list of alpha handles, as "
+                    "for gen, quad:a,b,d,c included (a "
                     "list that starts negative needs =: "
                     "--alphas=-golden,sqrt:2)")
     sp.add_argument("--n-list", help="comma list of sizes")
@@ -355,7 +370,9 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", help="alpha handle, as for gen (a "
                     "negative one needs =: --alpha=-golden)")
     sp.add_argument("--limit", type=int)
-    sp.add_argument("--targets", help="comma list of values to look for")
+    sp.add_argument("--targets", help="comma list of values to look for "
+                    "(a list that starts negative needs =: "
+                    "--targets=-3,0)")
     sp.add_argument("--n", type=int, help="also print B(1..n)")
     sp.add_argument("--out")
     sp.add_argument("--base")

@@ -26,16 +26,19 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                         F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b,
                     so the Python loop runs span - 1 times over whole-row
                     vector operations.  The sweep is one kernel,
-                    _d_star_many(images, n), which steps the runs of K
-                    permutations together; d_star is its K = 1 call.
-                    One rule, _runs, sets the run count: the most
-                    runs, from _MIN_RUNS = 4 to _SEGMENTS = 32, whose
-                    (K, runs, n + 1) block fits in _BLOCK_CELLS, so one
+                    _d_star_many(images, n), which takes a batch of any
+                    size K and steps the runs of up to _rows_per_call(n)
+                    permutations together, as many as fill the block
+                    at _MIN_RUNS runs, chunk after chunk; d_star is its
+                    K = 1 call.  One rule, _runs, sets the run count:
+                    the most runs, from _MIN_RUNS = 4 to _SEGMENTS = 32,
+                    whose (k, runs, n + 1) block for a chunk of k
+                    permutations fits in _BLOCK_CELLS, so one
                     permutation gets 32 runs up to n = 4095, and a large
-                    batch gets fewer, longer runs and so fewer
-                    closed-form rows.  _rows_per_call(n) says how many
-                    permutations to pass at once: as many as fill the
-                    block at _MIN_RUNS runs.  The sweep only needs
+                    chunk gets fewer, longer runs and so fewer
+                    closed-form rows.  The step rows n*[b > v] come
+                    from _step_rows, the window the prefix-star sweep
+                    of ranksets steps by too.  The sweep only needs
                     |F| + n <= n^2/4 + n in range, so it runs in int16
                     up to n = 360, in int32 up to n = 92679 and in int64
                     above; the first rows are built in int32 (int64
@@ -103,10 +106,11 @@ _BOUND_COLS = 16
 
 
 def _rows_per_call(n: int) -> int:
-    """How many permutations of size n one _d_star_many call should
-    sweep: max(1, _BLOCK_CELLS // (_MIN_RUNS * (n + 1))), 130 at n = 251
-    and 65 at n = 499, so the call's (K, runs, n + 1) block at _MIN_RUNS
-    runs stays within _BLOCK_CELLS (512 KB of int32), inside L2."""
+    """How many permutations of size n one sweep of _d_star_many takes
+    at most: max(1, _BLOCK_CELLS // (_MIN_RUNS * (n + 1))), 130 at
+    n = 251 and 65 at n = 499, so the sweep's (k, runs, n + 1) block at
+    _MIN_RUNS runs stays within _BLOCK_CELLS (512 KB of int32), inside
+    L2."""
     return max(1, _BLOCK_CELLS // (_MIN_RUNS * (n + 1)))
 
 
@@ -144,9 +148,9 @@ def _deviation_rows(inv: np.ndarray, starts) -> np.ndarray:
 def _runs(cells: int) -> int:
     """How many runs an O(n^2) sweep steps together when each run holds
     cells cells: the most, from _MIN_RUNS to _SEGMENTS, whose block
-    fits in _BLOCK_CELLS.  _d_star_many passes K * (n + 1)
-    and the prefix-star sweep n + 1, so one permutation gets 32 runs up
-    to n = 4095 from either."""
+    fits in _BLOCK_CELLS.  _d_star_many passes k * (n + 1) for a chunk
+    of k permutations and the prefix-star sweep n + 1, so one
+    permutation gets 32 runs up to n = 4095 from either."""
     return min(_SEGMENTS, max(_MIN_RUNS, _BLOCK_CELLS // cells))
 
 
@@ -158,48 +162,61 @@ def _run_starts(n: int, runs: int) -> tuple[int, np.ndarray]:
     return span, np.minimum(np.arange(0, n, span), n - span)
 
 
+def _step_rows(step, n: int, dtype) -> np.ndarray:
+    """The step window of both O(n^2) sweeps: an (n + 1, n + 1) view
+    whose row n - v is b -> step*[b > v] on columns 0..n, for v in
+    0..n.  Every row is a window of one array of length 2n + 1; fancy
+    indexing gathers only the rows a step needs, where np.take would
+    first copy the whole view."""
+    steps = np.zeros(2 * n + 1, dtype=dtype)
+    steps[n + 1:] = step
+    return sliding_window_view(steps, n + 1)
+
+
 def _d_star_many(images: np.ndarray, n: int) -> np.ndarray:
     """max |F| of each row of a (K, n) array of permutation images, as
     int64: the D* kernel, count scale.
 
-    Rows 0..n-1 of each F are cut into runs of span = ceil(n / runs)
-    rows (row n is zero), where runs = _runs(K * (n + 1)): the most runs
-    whose (K, runs, n + 1) block fits in _BLOCK_CELLS, so 32 for one
-    permutation up to n = 4095 and fewer, longer runs for a large batch.
-    Only a batch of more than _rows_per_call(n) permutations, or one
-    above n = 32767, needs the _MIN_RUNS floor and overruns the block.
-    The last run starts at n - span and may overlap the one before it;
-    rows seen twice do not change a max.  Each run's first row comes
-    from _deviation_rows, and then all K * runs runs step forward
-    together by F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b, so the
-    Python loop runs span - 1 times over whole-block vector operations.
-    The row b -> n*[b > v] is the window at n - v of one array of length
-    2n + 1.  The sweep needs only |F| + n <= n^2/4 + n in range, so it
-    runs in the narrowest of int16 (n <= 360), int32 (n <= 92679) and
-    int64 that holds that, whatever dtype the closed-form rows needed.
+    Any K: the rows go in consecutive chunks of at most
+    _rows_per_call(n), each swept on its own.  Rows 0..n-1 of each F are
+    cut into runs of span = ceil(n / runs) rows (row n is zero), where
+    runs = _runs(k * (n + 1)) for a chunk of k rows: the most runs
+    whose (k, runs, n + 1) block fits in _BLOCK_CELLS, so 32 for one
+    permutation up to n = 4095 and fewer, longer runs for a large
+    chunk.  So every sweep stays within the block up to n = 32767,
+    where one row at _MIN_RUNS runs fills it.  The last run starts at
+    n - span and may overlap the one before it; rows seen twice do not
+    change a max.  Each run's first row comes from _deviation_rows, and
+    then all k * runs runs step forward together by
+    F(a+1, b) = F(a, b) + n*[b > sigma(a)] - b, so the Python loop runs
+    span - 1 times over whole-block vector operations, with the row
+    b -> n*[b > v] from _step_rows.  The sweep needs only
+    |F| + n <= n^2/4 + n in range, so it runs in the narrowest of int16
+    (n <= 360), int32 (n <= 92679) and int64 that holds that, whatever
+    dtype the closed-form rows needed.
     """
-    span, starts = _run_starts(n, _runs(max(1, images.shape[0]) * (n + 1)))
     bound = n * n // 4 + n
     dtype = next(t for t in (np.int16, np.int32, np.int64)
                  if bound <= np.iinfo(t).max)
-    f = _deviation_rows(_inverses(images), starts).astype(dtype, copy=False)
-    b_row = np.arange(n + 1, dtype=f.dtype)
-    steps = np.zeros(2 * n + 1, dtype=f.dtype)
-    steps[n + 1:] = n
-    # fancy indexing gathers only the rows it needs; np.take would first
-    # copy the whole (n+1)^2 view
-    step_rows = sliding_window_view(steps, n + 1)
-    # shifts[t] = n - sigma(starts + t) for every permutation and run
-    shifts = (n - images[:, starts + np.arange(span - 1)[:, None]]
-              ).transpose(1, 0, 2)
-    his, los = [f.max(axis=(1, 2))], [f.min(axis=(1, 2))]
-    for shift in shifts:  # row starts + t becomes starts + t + 1
-        f += step_rows[shift]
-        f -= b_row
-        his.append(f.max(axis=(1, 2)))
-        los.append(f.min(axis=(1, 2)))
-    hi, lo = np.max(his, axis=0), np.min(los, axis=0)
-    return np.maximum(hi, -lo).astype(np.int64)
+    step_rows = _step_rows(n, n, dtype)
+    b_row = np.arange(n + 1, dtype=dtype)
+    per_call = _rows_per_call(n)
+    out = []
+    for c in range(0, max(1, len(images)), per_call):
+        part = images[c:c + per_call]
+        span, starts = _run_starts(n, _runs(max(1, len(part)) * (n + 1)))
+        f = _deviation_rows(_inverses(part), starts).astype(dtype, copy=False)
+        # shifts[t] = n - sigma(starts + t) for every permutation and run
+        shifts = (n - part[:, starts + np.arange(span - 1)[:, None]]
+                  ).transpose(1, 0, 2)
+        his, los = [f.max(axis=(1, 2))], [f.min(axis=(1, 2))]
+        for shift in shifts:  # row starts + t becomes starts + t + 1
+            f += step_rows[shift]
+            f -= b_row
+            his.append(f.max(axis=(1, 2)))
+            los.append(f.min(axis=(1, 2)))
+        out.append(np.maximum(np.max(his, axis=0), -np.min(los, axis=0)))
+    return np.concatenate(out).astype(np.int64)
 
 
 def d_star(sigma: Permutation) -> Fraction:

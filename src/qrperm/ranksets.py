@@ -62,9 +62,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .discrepancy import _run_starts, _runs
+from .discrepancy import _inverses, _run_starts, _runs, _step_rows
 from .errors import QrpermError, SizeRefusedError
 from .families import Permutation
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
@@ -369,7 +368,8 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
     counter serves both conventions and tied points.
 
     Each run's first row is one cumsum, and the runs step together by
-    den*G += den*[b > rank(s)] over whole rows.  Runs go in groups of
+    den*G += den*[b > rank(s)] over whole rows, read from d_star's step
+    window, _step_rows.  Runs go in groups of
     _runs(n + 1), the rule that sizes d_star's runs, each group one
     (runs, n + 1) block in three reused buffers, so memory is O(n):
     3*runs*(n + 1) cells.  s*y is computed afresh on every row, and
@@ -390,15 +390,11 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
     else:
         pdt = cnt = val = np.int32 if den * (n + 1) < 2**31 else val
     out = np.empty(rows.shape, dtype=val)
-    inv = np.empty(n, dtype=np.int64)
-    inv[g] = np.arange(n)
+    inv = _inverses(g[None, :])[0]
     y = np.zeros(n + 1, dtype=pdt)  # y[n] pads the flat closed-box read
     y[:n] = r[inv]
     span, group = len(rows), _runs(n + 1)
-    # den*[b > v] on columns 0..n is the window at n - v
-    steps = np.zeros(2 * n + 1, dtype=cnt)
-    steps[n + 1:] = den
-    step_rows = sliding_window_view(steps, n + 1)
+    step_rows = _step_rows(den, n, cnt)  # den*[b > v] at row n - v
     # reused buffers: fresh MB-sized temporaries page-fault
     hbuf = np.empty(min(group, rows.shape[1]) * (n + 1), dtype=cnt)
     pbuf = np.empty_like(hbuf, dtype=val)

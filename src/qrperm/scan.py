@@ -37,7 +37,7 @@ import numpy as np
 
 from .cfrac import (_convergents_upto, _parse_bound, cf_of_quadratic,
                     cf_of_rational, zaremba_search)
-from .discrepancy import _d_star_many, _rows_per_call, d_star
+from .discrepancy import _d_star_many, d_star
 from .errors import QrpermError
 from .expsums import _walks
 from .families import _params, sos_perm
@@ -166,13 +166,9 @@ def _psi_devs(p: int) -> list[int]:
     devs = [0] * (p - 1)
     inverse = {k: pow(k, -1, p) for k in range(1, p)}
     reps = [k for k, inv in inverse.items() if inv >= k]
-    chunk = _rows_per_call(p)
-    s = np.arange(p)
-    for i in range(0, len(reps), chunk):
-        ks = reps[i:i + chunk]
-        images = np.array(ks)[:, None] * s % p    # psi_k, a bijection
-        for k, dev in zip(ks, _d_star_many(images, p).tolist()):
-            devs[k - 1] = devs[inverse[k] - 1] = dev
+    images = np.array(reps)[:, None] * np.arange(p) % p   # psi_k
+    for k, dev in zip(reps, _d_star_many(images, p).tolist()):
+        devs[k - 1] = devs[inverse[k] - 1] = dev
     return devs
 
 
@@ -207,13 +203,13 @@ def scan_psi(pmin: int, pmax: int, workers: int = 1) -> list[ScanRecord]:
     One D* value serves each pair {k, k^-1}.  psi_{k^-1} is the inverse
     of psi_k, and inverting sigma transposes F(a, b) = n*|sigma([0,a))
     cap [0,b)| - a*b, so max |F| is unchanged.  Negation k -> p - k is
-    not a D* symmetry.  The images k*s mod p of the representatives
-    k <= k^-1 are built directly, with no Permutation, and go to the D*
-    kernel in chunks of discrepancy._rows_per_call(p): one call for all
-    (p + 1)/2 of them up to p = 251 and at most four below 500, each
-    sweeping a few long runs per permutation.  Primes are listed largest
-    first, so workers claim them in that order, since the cost per prime
-    grows like p^3."""
+    not a D* symmetry.  The images k*s mod p of all (p + 1)/2
+    representatives k <= k^-1 are built at once, with no Permutation,
+    and go to the D* kernel in one call per prime.  The kernel sweeps
+    them in chunks that fit its block: one chunk up to p = 251 and at
+    most four below 500, each sweeping a few long runs per permutation.
+    Primes are listed largest first, so workers claim them in that
+    order, since the cost per prime grows like p^3."""
     points = [p for p in range(pmax, max(pmin, 3) - 1, -1) if is_prime(p)]
     return _scan(_psi_prime, points, workers)
 

@@ -110,37 +110,69 @@ def _spy_runs(monkeypatch):
     return runs_seen
 
 
+def _spy_chunks(monkeypatch):
+    """How many permutations each D* sweep takes, sweep by sweep."""
+    chunks = []
+    deviation_rows = discrepancy._deviation_rows
+
+    def spy(inv, starts):
+        chunks.append(len(inv))
+        return deviation_rows(inv, starts)
+
+    monkeypatch.setattr(discrepancy, "_deviation_rows", spy)
+    return chunks
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 101])
 def test_d_star_many_matches_d_star_on_mixed_batches(n, monkeypatch):
     # one-row runs below 32, full runs at 32, an overlapping last run at
     # 33 and 101; every prefix of the batch is a batch too.  The batch
     # tiled to _rows_per_call(n) rows fills the block at _MIN_RUNS runs
     # and sweeps exactly that many, whose last one overlaps at 31, 33
-    # and 101.
+    # and 101.  Tiled to 2 * _rows_per_call(n) + 3 rows it is swept in
+    # three chunks, two full ones and one of 3 rows, each in its block.
     batch = _mixed_batch(n)
     images = np.array([sigma.image for sigma in batch])
     want = [d_star(sigma) for sigma in batch]
     runs_seen = _spy_runs(monkeypatch)
+    chunks_seen = _spy_chunks(monkeypatch)
     for k in (1, 2, len(batch)):
         got = _d_star_many(images[:k], n)
         assert got.dtype == np.int64
         assert [Fraction(int(v), n) for v in got] == want[:k]
     assert runs_seen == [discrepancy._SEGMENTS] * 3
     k = discrepancy._rows_per_call(n)
-    tiled = np.resize(images, (k, n))
-    got = _d_star_many(tiled, n)
-    assert runs_seen[-1] == discrepancy._MIN_RUNS
-    assert [Fraction(int(v), n) for v in got] == (want * k)[:k]
+    for rows, chunks in ((k, [k]), (2 * k + 3, [k, k, 3])):
+        runs_seen.clear()
+        chunks_seen.clear()
+        tiled = np.resize(images, (rows, n))
+        got = _d_star_many(tiled, n)
+        assert [Fraction(int(v), n) for v in got] == (want * rows)[:rows]
+        assert chunks_seen == chunks
+        assert runs_seen[0] == discrepancy._MIN_RUNS
+        assert runs_seen == [discrepancy._runs(m * (n + 1)) for m in chunks]
+        for m, runs in zip(chunks, runs_seen):
+            assert m * runs * (n + 1) <= discrepancy._BLOCK_CELLS
     if n <= 12:
         assert want == [oracle_d_star_cubic(sigma) for sigma in batch]
     else:
         assert want == [oracle_d_star(sigma) for sigma in batch]
 
 
+def test_d_star_sweeps_fit_the_block_up_to_n_32767():
+    # a chunk of _rows_per_call(n) rows sweeps _runs of its cells; one
+    # row at _MIN_RUNS runs fills the block at n = 32767 and overruns it
+    # from n = 32768 on
+    for n in (1, 2, 101, 251, 499, 4095, 4096, 32767, 32768):
+        k = discrepancy._rows_per_call(n)
+        cells = k * discrepancy._runs(k * (n + 1)) * (n + 1)
+        assert (cells <= discrepancy._BLOCK_CELLS) == (n <= 32767), n
+
+
 @pytest.mark.parametrize("p", [101, 251])
 def test_psi_scan_kernel_rows_and_chunks(p, monkeypatch):
-    # the rows the psi scan hands the kernel are psi_k's images, one per
-    # pair representative k <= k^-1, in chunks of _rows_per_call(p)
+    # the psi scan hands the kernel one batch per prime: psi_k's images,
+    # one row per pair representative k <= k^-1
     seen = []
     kernel = scan._d_star_many
 
@@ -151,23 +183,25 @@ def test_psi_scan_kernel_rows_and_chunks(p, monkeypatch):
     monkeypatch.setattr(scan, "_d_star_many", spy)
     devs = scan._psi_devs(p)
     reps = [k for k in range(1, p) if pow(k, -1, p) >= k]
-    chunk = discrepancy._rows_per_call(p)
-    assert [len(rows) for rows in seen] == [
-        min(chunk, len(reps) - i) for i in range(0, len(reps), chunk)]
-    rows = np.concatenate(seen)
-    assert rows.tolist() == [list(psi(p, k).image) for k in reps]
+    assert len(seen) == 1
+    assert seen[0].tolist() == [list(psi(p, k).image) for k in reps]
     assert devs == [p * d_star(psi(p, k)) for k in range(1, p)]
-    # smaller blocks cut the pair list into chunks of 1, 7, 10, 25 and
-    # 32, also mid-list, and the calls sweep _MIN_RUNS runs, 32 (a last
-    # chunk of one row) and counts between; every value stays as it was
+    # smaller blocks make the kernel cut that batch into sweeps of 1, 7,
+    # 10, 25 and 32 rows, also mid-list, which sweep _MIN_RUNS runs, 32
+    # (a last chunk of one row) and counts between; every value stays
+    # as it was
     runs_seen = _spy_runs(monkeypatch)
+    chunks_seen = _spy_chunks(monkeypatch)
     for cells in (4, 28, 40, 100, 128):
         seen.clear()
+        chunks_seen.clear()
         monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", cells * (p + 1))
         assert scan._psi_devs(p) == devs
-        assert len(seen) > 1
-        assert {len(rows) for rows in seen[:-1]} == {
-            discrepancy._rows_per_call(p)}
+        assert len(seen) == 1
+        chunk = discrepancy._rows_per_call(p)
+        assert chunks_seen == [
+            min(chunk, len(reps) - i) for i in range(0, len(reps), chunk)]
+        assert len(chunks_seen) > 1
     assert min(runs_seen) == discrepancy._MIN_RUNS
     assert max(runs_seen) == discrepancy._SEGMENTS
     assert any(discrepancy._MIN_RUNS < r < discrepancy._SEGMENTS

@@ -121,15 +121,9 @@ def test_scan_sos_worker_counts_and_schema():
             assert r.value == want
 
 
-def test_sos_point_expands_alpha_once():
-    # the three-distance walk and the quotient profile read one expansion
-    import qrperm.cfrac as cfrac_mod
+def test_sos_point_records_d_star_and_quotients():
     import qrperm.scan as scan_mod
-    expand = cfrac_mod.cf_of_quadratic
-    expand.cache_clear()
     records = scan_mod._sos_point(("golden", 2048))
-    info = expand.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
     by_stat = {r.statistic: r.value for r in records}
     assert by_stat["dstar"] == d_star(sos_perm(2048, golden()))
     assert by_stat["cf_max_quotient"] == 1
@@ -759,6 +753,23 @@ def test_cli_scan_sos_rejects_bad_points(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_scan_sos_keeps_quad_handles_whole(tmp_path, capsys):
+    # a quad: handle keeps its four fields, from the flag and the config
+    # key alike; a short one still ends in error:
+    labels = ["golden", "quad:1,3,5,2"]
+    want = csv_rows(scan_sos(labels, [16, 32]))
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("alphas = golden, quad:1,3,5,2\n")
+    scan = ["scan-sos", "--n-list", "16,32", "--out", str(tmp_path)]
+    for argv in ([*scan, "--alphas", ",".join(labels), "--base", "a"],
+                 ["--config", str(cfg_file), *scan, "--base", "b"]):
+        assert main(argv) == 0
+        csv_path = tmp_path / f"{argv[-1]}.csv"
+        assert csv_path.read_text().splitlines()[1:] == want
+    err = _assert_cli_error([*scan, "--alphas", "golden,quad:1,2"], capsys)
+    assert "quad needs exactly a,b,d,c" in err
+
+
 def test_cli_obryant_rejects_short_limit(capsys):
     assert main(["obryant", "--alpha", "golden", "--limit", "1"]) == 1
     err = capsys.readouterr().err
@@ -826,18 +837,41 @@ def test_cli_builds_one_parser_per_process():
 DISC_ARGV = ["disc", "--family", "psi", "--n", "13", "--k", "2"]
 
 
-@pytest.fixture(scope="module")
-def fresh_disc_run():
-    """stdout and exit code of one disc call in a fresh interpreter."""
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that imports this qrperm."""
     src = str(Path(qrperm.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys; from qrperm.cli import main; "
-         f"sys.exit(main({DISC_ARGV!r}))"],
-        capture_output=True, text=True, env=env, check=False)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=False)
+
+
+@pytest.fixture(scope="module")
+def fresh_disc_run():
+    """stdout and exit code of one disc call in a fresh interpreter."""
+    done = _fresh_python("import sys; from qrperm.cli import main; "
+                         f"sys.exit(main({DISC_ARGV!r}))")
     return done.stdout, done.returncode
+
+
+def test_commands_without_a_pool_import_no_heavy_modules(tmp_path):
+    # numpy.ma (np.unique imports it) adds about 2 MB of peak RSS, and
+    # only a pool needs multiprocessing.connection or subprocess
+    out = str(tmp_path)
+    runs = [DISC_ARGV,
+            ["stats", "--family", "psi", "--n", "13", "--k", "2"],
+            ["scan-sos", "--alphas", "golden,rat:5/13", "--n-list", "64",
+             "--workers", "1", "--out", out],
+            ["scan-psi", "--pmin", "5", "--pmax", "31", "--workers", "1",
+             "--out", out]]
+    done = _fresh_python(
+        "import sys\nfrom qrperm.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "heavy = ('numpy.ma', 'multiprocessing.connection', 'subprocess')\n"
+        "print(codes, [m for m in heavy if m in sys.modules])\n")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 @pytest.mark.parametrize("failing", [
