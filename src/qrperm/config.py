@@ -147,6 +147,9 @@ def resolve(command: str, cli_pairs: dict[str, Any],
             raise QrpermError(f"{key} contains a NUL byte")
     if merged.get("workers", 1) < 1:
         raise QrpermError(f"workers must be >= 1, got {merged['workers']}")
+    if merged.get("exact_cap", 0) < 0:
+        raise QrpermError(
+            f"exact_cap must be >= 0, got {merged['exact_cap']}")
     return RunConfig(**merged)
 
 

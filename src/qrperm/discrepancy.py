@@ -50,14 +50,27 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     a given I is the spread max_b - min_b of F_j - F_i.
                     Complementing I or J negates the signed deviation and
                     maps wrapping intervals to non-wrapping ones, so the
-                    non-wrapping pairs i < j suffice.  Every |F_j - F_i|
-                    is at most 2 max|F| = 2n D*, so when that is at most
-                    32767 the rows are cast to int16 and no difference
-                    wraps; each spread is taken in int64.  Otherwise F
-                    keeps its dtype.  First every pair is bounded: with
-                    the b axis cut into blocks of _BOUND_COLS = 16
-                    columns, A[j, i] = max over blocks of (blockmax F_j -
-                    blockmin F_i) >= max_b (F_j - F_i), so the spread of
+                    non-wrapping pairs i < j suffice.  When sigma is
+                    affine, sigma(s) = k*s + c mod n, which the O(n)
+                    test that image[s + 1] - image[s] is constant mod n
+                    detects without a family tag, no pair is swept:
+                    sigma([i, j)) is sigma([0, j - i)) translated by
+                    k*i, F_j - F_i is the deviation function of
+                    sigma([i, j)), and that function is periodic in b,
+                    so the translation only shifts it along b and keeps
+                    its spread, the spread of row j - i.  D is then the
+                    largest row spread, np.ptp(F, axis=1).max(), read
+                    off the F already built (psi(263, k) at the analyze
+                    benchmark's 16 parameter sets: 0.43-0.45 ms against
+                    4.3-8.4 ms for the sweep).  For any other sigma,
+                    every |F_j - F_i| is at most 2 max|F| = 2n D*, so
+                    when that is at most 32767 the rows are cast to
+                    int16 and no difference wraps; each spread is taken
+                    in int64.  Otherwise F keeps its dtype.  First
+                    every pair is bounded: with the b axis cut into
+                    blocks of _BOUND_COLS = 16 columns, A[j, i] = max
+                    over blocks of (blockmax F_j - blockmin F_i) >=
+                    max_b (F_j - F_i), so the spread of
                     (i, j) is at most A[j, i] + A[i, j].  That takes
                     about a tenth of a full sweep's time and two
                     (n + 1)^2 matrices, A and U = A + A^T (uint16 for
@@ -77,11 +90,13 @@ most n^2 and |F| <= n^2/4, so the rows are int32 while n^2 < 2^31
                     skipped depends on the input: on the analyze
                     benchmark's members (16 parameter sets) the median
                     share of pairs swept is 6-12% for random, lambda,
-                    eta and rho, 44% for bit_reversal(512) and 87% for
-                    psi, whose spreads crowd near D (half the pairs of
-                    psi(263, 154) lie above 0.75 D, 8% of a random
-                    member's), so the bound rarely rules a pair out.
-                    Cubic; the size cap refuses anything above it.
+                    eta and rho and 44% for bit_reversal(512).  The
+                    bound rules out few pairs of an input whose spreads
+                    crowd near D: 87% of psi's pairs pass it (half the
+                    pairs of psi(263, 154) lie above 0.75 D, 8% of a
+                    random member's), which is why psi is left to the
+                    affine branch.  Cubic for non-affine inputs; the
+                    size cap refuses anything above it either way.
 """
 
 from __future__ import annotations
@@ -265,15 +280,24 @@ def _pair_bounds(f: np.ndarray) -> np.ndarray:
 
 def d_exact(sigma: Permutation, cap: int = D_EXACT_CAP) -> Fraction:
     """Discrepancy over all cyclic interval pairs, exact: the max over
-    i < j of max_b - min_b of F_j - F_i.  Only the pairs whose bound
-    from _pair_bounds beats the best spread so far are swept, and a
-    skipped pair's spread is at most that best.  Refuses n > cap."""
+    i < j of max_b - min_b of F_j - F_i.  For affine sigma (image[s + 1]
+    - image[s] constant mod n) that is the largest spread of one row of
+    F, as sigma([i, j)) is sigma([0, j - i)) translated, so no pair is
+    swept.  Otherwise only the pairs whose bound from _pair_bounds beats
+    the best spread so far are swept, and a skipped pair's spread is at
+    most that best.  Refuses n > cap."""
     n = sigma.n
     if n > cap:
         raise SizeRefusedError(
             f"d_exact is cubic; n = {n} exceeds cap {cap}")
     images = np.asarray(sigma.image)[None, :]
     f = _deviation_rows(_inverses(images), np.arange(n + 1))[0]
+    # affine sigma: sigma([i, j)) is sigma([0, j - i)) translated, so the
+    # spread of F_j - F_i is that of row j - i (int32 or int64 holds
+    # every spread, as max - min <= 2 max|F| <= n^2/2)
+    steps = np.diff(images[0]) % n
+    if (steps == steps[:1]).all():
+        return Fraction(int(np.ptp(f, axis=1).max()), n)
     # |F_j - F_i| <= 2 max|F|: when that fits, int16 holds every difference
     if 2 * max(int(f.max()), -int(f.min())) <= np.iinfo(np.int16).max:
         f = f.astype(np.int16)

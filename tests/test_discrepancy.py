@@ -17,6 +17,7 @@ from qrperm import (
     build_report,
     d_exact,
     d_star,
+    from_text,
     golden,
     identity_perm,
     invert,
@@ -277,15 +278,29 @@ def _spy_tile_dtypes(monkeypatch):
     return seen
 
 
+def _top_swapped(sigma):
+    """sigma with its images n - 2 and n - 1 swapped: not affine for
+    identity and reversal from n = 4 on, so d_exact sweeps its pairs.  Identity and reversal keep
+    max|F| = floor(n^2/4) and D, whose F(a, a) and F(a, n - a) near
+    a = n/2 do not count the top two values."""
+    image = list(sigma.image)
+    i, j = image.index(sigma.n - 2), image.index(sigma.n - 1)
+    image[i], image[j] = image[j], image[i]
+    return Permutation(sigma.n, tuple(image))
+
+
 def test_d_exact_int16_tiles_up_to_twice_max_f_of_2_15(monkeypatch):
     # identity and reversal reach max|F| = floor(n^2/4): 2*max|F| is
     # 32512 at n = 255, so int16 holds every difference, and 32768 at
-    # n = 256, one past int16
+    # n = 256, one past int16.  Both are affine and sweep no pair; their
+    # top-swapped forms keep max|F| and D and go through the tiles
     seen = _spy_tile_dtypes(monkeypatch)
     for n, dtype in ((255, np.int16), (256, np.int32)):
         for sigma in (identity_perm(n), reversal_perm(n)):
             seen.clear()
             assert d_exact(sigma) == Fraction(n * n // 4, n)
+            assert seen == set()
+            assert d_exact(_top_swapped(sigma)) == Fraction(n * n // 4, n)
             assert seen == {np.dtype(dtype)}
 
 
@@ -321,16 +336,78 @@ def test_d_exact_partial_tiles_match_cyclic_oracle(n):
 def test_d_exact_tiles_match_the_pair_loop(n, monkeypatch):
     # random, psi, reversal and bit-reversal members on both sides of
     # the int16 gate, at sizes whose last i-block and (at 300) last
-    # j-block are partial
+    # j-block are partial.  Psi, identity and reversal take the affine
+    # branch; the top-swapped identity has int32 tiles at every n here
     perms = [random_perm(n, seed) for seed in (3, 4)]
     perms += [psi(n, k) for k in (2, 7, n - 1) if math.gcd(k, n) == 1]
-    perms += [identity_perm(n), reversal_perm(n)]
+    perms += [identity_perm(n), reversal_perm(n),
+              _top_swapped(identity_perm(n))]
     if n & (n - 1) == 0:
         perms.append(bit_reversal(n))
     seen = _spy_tile_dtypes(monkeypatch)
     for sigma in perms:
         assert d_exact(sigma) == _d_exact_pairs(sigma)
     assert seen == {np.dtype(np.int16), np.dtype(np.int32)}
+
+
+def _affine(n, k, c):
+    """s -> k*s + c mod n, as a plain permutation with no family tag."""
+    return Permutation(n, tuple((k * s + c) % n for s in range(n)))
+
+
+def _units(n):
+    return [k for k in range(1, n + 1) if math.gcd(k, n) == 1]
+
+
+def test_d_exact_affine_matches_cyclic_oracle():
+    # every k*s + c mod n up to n = 12: 375 permutations
+    perms = [_affine(n, k, c) for n in range(1, 13) for k in _units(n)
+             for c in range(n)]
+    assert len(perms) == 375
+    for sigma in perms:
+        assert d_exact(sigma) == oracle_d_cyclic(sigma), sigma
+
+
+def test_d_exact_affine_matches_the_pair_loop():
+    # every unit k with c in {0, 1, n - 1} up to n = 64, and psi near 500
+    perms = [_affine(n, k, c) for n in range(2, 65) for k in _units(n)
+             for c in {0, 1, n - 1}]
+    perms += [psi(499, k) for k in (2, 3, 154, 498)]
+    for sigma in perms:
+        assert d_exact(sigma) == _d_exact_pairs(sigma), sigma
+
+
+def test_d_exact_affine_inputs_need_no_pair_bounds(monkeypatch):
+    # no bounds and no tiles: the affine branch reads row spreads of F
+    def refused(f):
+        raise AssertionError("an affine input reached _pair_bounds")
+
+    monkeypatch.setattr(discrepancy, "_pair_bounds", refused)
+    seen = _spy_tile_dtypes(monkeypatch)
+    text = "263\n" + " ".join(str((154 * s + 7) % 263)
+                               for s in range(263)) + "\n# from a file\n"
+    for sigma in (psi(263, 154), psi(512, 5), identity_perm(256),
+                  reversal_perm(300), from_text(text)):
+        assert d_exact(sigma) > 0
+    assert seen == set()
+
+
+def test_d_exact_one_transposition_from_affine_sweeps_pairs(monkeypatch):
+    # swapping two images of psi(11, 3) breaks the constant step, so the
+    # bounds are built once and the tiles give the oracle's value
+    calls = []
+    bounds = discrepancy._pair_bounds
+
+    def counted(f):
+        calls.append(len(f))
+        return bounds(f)
+
+    monkeypatch.setattr(discrepancy, "_pair_bounds", counted)
+    image = list(psi(11, 3).image)
+    image[4], image[5] = image[5], image[4]
+    sigma = Permutation(11, tuple(image))
+    assert d_exact(sigma) == oracle_d_cyclic(sigma)
+    assert calls == [12]
 
 
 def _spreads(f):
@@ -465,10 +542,12 @@ def test_d_exact_peak_allocation_stays_within_its_arrays():
     # the bounds (F, its 16-column block maxima and minima,
     # A and U) and the sweep (F, U and the 2*_BLOCK_CELLS cells of tile
     # buffers), with 256 KiB of slack for the per-row and per-tile
-    # vectors.  F is int16 for bit reversal and psi, int32 for identity;
-    # A and U are uint16 or int32 to match.
-    for sigma, item in ((bit_reversal(512), 2), (identity_perm(512), 4),
-                        (psi(263, 154), 2)):
+    # vectors.  F is int16 for bit reversal and the top-swapped psi,
+    # int32 for the top-swapped identity; A and U are uint16 or int32 to
+    # match.  Identity and psi themselves are affine and reach no bounds.
+    for sigma, item in ((bit_reversal(512), 2),
+                        (_top_swapped(identity_perm(512)), 4),
+                        (_top_swapped(psi(263, 154)), 2)):
         cells = (sigma.n + 1) ** 2
         phases = (cells * (4 + 2),
                   cells * item * (1 + 1 / 8 + 2),

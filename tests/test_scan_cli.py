@@ -923,6 +923,16 @@ def test_cli_rejects_workers_below_one(tmp_path, monkeypatch, capsys):
     assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
 
 
+def test_cli_rejects_negative_exact_cap(tmp_path, capsys):
+    disc = ["disc", "--family", "psi", "--n", "263", "--k", "2"]
+    err = _assert_cli_error([*disc, "--exact-cap=-1"], capsys)
+    assert "error: exact_cap must be >= 0, got -1" in err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("exact_cap = -1\n")
+    err = _assert_cli_error(["--config", str(cfg_file), *disc], capsys)
+    assert "error: exact_cap must be >= 0, got -1" in err
+
+
 def test_cli_disc_rejects_non_utf8_file(tmp_path, capsys):
     bad = tmp_path / "perm.bin"
     bad.write_bytes(b"3\n0 \xff 2\n")
