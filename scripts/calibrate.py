@@ -39,7 +39,7 @@ from qrperm import (
 from qrperm import calibration
 from qrperm.corpus import corpus_perms, primes_in
 from qrperm.expsums import _walks
-from qrperm.scan import csv_rows, scan_psi
+from qrperm.scan import csv_body, scan_psi
 
 
 def polya_vinogradov_constant(pmax: int) -> tuple[float, int]:
@@ -93,8 +93,7 @@ def erdos_turan_needed_c(max_n: int) -> tuple[float, str]:
 def psi_scan_pins(workers: int) -> tuple[float, float, str]:
     records = scan_psi(101, 499, workers=workers)
     norms = [r.normalized for r in records if r.statistic == "mean_dstar"]
-    body = "\n".join(csv_rows(records)) + "\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
+    digest = hashlib.sha256(csv_body(records).encode()).hexdigest()
     return min(norms), max(norms), digest
 
 
@@ -110,12 +109,8 @@ def golden_ratio_table() -> list[tuple[int, float, float]]:
 
 
 def bitrev_ratio_table() -> list[tuple[int, float]]:
-    rows = []
-    for e in range(4, 15):
-        n = 2 ** e
-        rep = build_report(bit_reversal(n))
-        rows.append((n, float(rep.d_upper) / math.log2(n)))
-    return rows
+    return [(2 ** e, build_report(bit_reversal(2 ** e)).ratio_log2)
+            for e in range(4, 15)]
 
 
 def random_band_check() -> tuple[float, float, float]:

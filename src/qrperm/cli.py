@@ -34,9 +34,8 @@ from .modular import find_primitive_root
 from .qrstats import property_profile
 from .quadirr import frac_float, parse_alpha
 from .ranksets import b_sequence
-from .scan import (_scan_sos_perm, emit, plot_rows, scan_gauss,
-                   scan_obryant, scan_psi, scan_sos, scan_zaremba, timed,
-                   write_plot_data)
+from .scan import (_scan_sos_perm, emit, scan_gauss, scan_obryant, scan_psi,
+                   scan_sos, scan_zaremba, timed)
 
 FAMILIES = ("psi", "lambda", "eta", "rho", "sos", "bitrev",
             "identity", "reversal", "random")
@@ -164,17 +163,13 @@ def _echo(cfg: RunConfig, *names: str) -> dict:
 
 def _finish_scan(cfg: RunConfig, records, default_base: str,
                  echo: dict, ms: float) -> int:
-    base = cfg.base or default_base
-    if cfg.plot:
-        plot_rows(records, cfg.plot)    # a bad --plot fails before emit
-    res = emit(records, cfg.out, base, echo, wall_time_ms=ms)
+    res = emit(records, cfg.out, cfg.base or default_base, echo,
+               wall_time_ms=ms, plot=cfg.plot)
     print(f"{res.rows} rows -> {res.csv_path}")
     print(f"summary  -> {res.summary_path}")
     print(f"body sha256 {res.body_sha256}")
-    if cfg.plot:
-        path = f"{res.csv_path[:-4]}_plot_{cfg.plot}.csv"
-        wrote = write_plot_data(records, path, cfg.plot)
-        print(f"plot data ({wrote} rows) -> {path}")
+    if res.plot_path:
+        print(f"plot data ({res.plot_rows} rows) -> {res.plot_path}")
     return 0
 
 

@@ -30,7 +30,8 @@ from fractions import Fraction
 from .cfrac import _convergents_upto, cf_of_quadratic
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
                      NotAPermutationError, NotAUnitError, QrpermError)
-from .modular import as_prime, is_primitive_root, mod_inv, multiplicative_order
+from .modular import (as_prime, as_unit, is_primitive_root, mod_inv,
+                      multiplicative_order)
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       frac_compare)
 
@@ -119,9 +120,7 @@ def psi(n: int, k: int) -> Permutation:
 def lambda_inv(p, a: int) -> Permutation:
     """Twisted inversion: 0 -> 0, s -> a*s^{-1} mod p."""
     p = as_prime(p)
-    a %= p
-    if a == 0:
-        raise NotAUnitError(a, p, p)
+    a = as_unit(a, p)
     image = [0] * p
     for s in range(1, p):
         image[s] = a * mod_inv(s, p) % p
@@ -131,9 +130,7 @@ def lambda_inv(p, a: int) -> Permutation:
 def eta_power(p, a: int, k: int) -> Permutation:
     """Power map s -> a*s^k mod p; needs gcd(k, p-1) = 1 and 2 <= k < p-1."""
     p = as_prime(p)
-    a %= p
-    if a == 0:
-        raise NotAUnitError(a, p, p)
+    a = as_unit(a, p)
     if k == 1:
         raise QrpermError("k = 1 is the linear family; use psi")
     if not 2 <= k < p - 1:
@@ -149,12 +146,8 @@ def eta_power(p, a: int, k: int) -> Permutation:
 def rho_exp(p, a: int, tau: int) -> Permutation:
     """Exponential map: 0 -> 0, s -> a*tau^s mod p, tau a primitive root."""
     p = as_prime(p)
-    a %= p
-    tau %= p
-    if a == 0:
-        raise NotAUnitError(a, p, p)
-    if tau == 0:
-        raise NotAUnitError(tau, p, p)
+    a = as_unit(a, p)
+    tau = as_unit(tau, p)
     if not is_primitive_root(tau, p):
         raise InvalidGeneratorError(tau, p, multiplicative_order(tau, p))
     image = [0] * p

@@ -9,6 +9,7 @@ permutation families and exponential-sum kernels are built from:
     find_primitive_root(p)    smallest generator of Z_p^*
     is_primitive_root(t, p)   t^((p-1)/q) != 1 for every prime q | p-1
     as_prime(p)               the one primality gate of prime moduli
+    as_unit(x, p)             x mod p, refused when it is 0 mod the prime p
 
 Modular powers are Python's three-argument pow.
 
@@ -60,6 +61,14 @@ def as_prime(p) -> int:
     return p
 
 
+def as_unit(x: int, p: int) -> int:
+    """x mod p for a prime p; NotAUnitError(0, p, p) when p divides x."""
+    x %= p
+    if x == 0:
+        raise NotAUnitError(x, p, p)
+    return x
+
+
 def mod_inv(a: int, m: int) -> int:
     """Inverse of a mod m via extended Euclid; raises if gcd(a, m) != 1."""
     if m == 0:
@@ -93,9 +102,7 @@ def multiplicative_order(x: int, p) -> int:
     stays 1, so the cost is O(log^2 p) multiplies rather than a walk.
     """
     p = as_prime(p)
-    x %= p
-    if x == 0:
-        raise NotAUnitError(x, p, p)
+    x = as_unit(x, p)
     t = p - 1
     for q in factorize(p - 1):
         while t % q == 0 and pow(x, t // q, p) == 1:

@@ -22,7 +22,9 @@ then the records in emission order.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -382,62 +384,83 @@ class EmitResult:
     summary_path: str
     body_sha256: str
     rows: int
+    plot_path: str | None    # None when no plot statistic was asked for
+    plot_rows: int
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
+def _csv_lines(rows) -> list[str]:
+    """rows as CSV lines.  The csv module quotes a field that holds a
+    comma or a double quote, doubling its double quotes (RFC 4180), as
+    a quad: alpha's params field needs; it writes a float as its repr."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().split("\n")[:-1]
 
 
-def _csv_field(text: str) -> str:
-    """text as one CSV field: in double quotes, with its own double
-    quotes doubled, when it holds a comma or a double quote (RFC 4180),
-    as a quad: alpha does."""
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _record_cells(r: ScanRecord) -> tuple:
+    if isinstance(r.value, Fraction):
+        value = (r.value.numerator, r.value.denominator)
+    else:
+        value = ("", float(r.value))
+    norm = "" if r.normalized is None else float(r.normalized)
+    return (r.family, r.n_or_p, _params_str(r.params), r.statistic,
+            *value, norm, 0)
 
 
 def csv_rows(records: list[ScanRecord]) -> list[str]:
-    rows = [",".join(CSV_COLUMNS)]
-    for r in sorted(records, key=_sort_key):
-        if isinstance(r.value, Fraction):
-            vnum, vden = str(r.value.numerator), str(r.value.denominator)
-        else:
-            vnum, vden = "", _fmt_float(r.value)
-        norm = _fmt_float(r.normalized) if r.normalized is not None else ""
-        rows.append(",".join(map(_csv_field, (
-            r.family, str(r.n_or_p), _params_str(r.params), r.statistic,
-            vnum, vden, norm, "0"))))
-    return rows
+    """The CSV header, then one line per record in sort order."""
+    return _csv_lines([CSV_COLUMNS, *map(_record_cells,
+                                         sorted(records, key=_sort_key))])
+
+
+def csv_body(records: list[ScanRecord]) -> str:
+    """The CSV body, each line of csv_rows ended by a newline: the text
+    a summary's csv_body_sha256 covers."""
+    return "\n".join(csv_rows(records)) + "\n"
+
+
+def plot_rows(records: list[ScanRecord], statistic: str) -> list[str]:
+    """Tidy (x, y, series) rows for one statistic, header first, ready
+    for gnuplot or a notebook; y is the normalized column when present,
+    else the value.  Raises QrpermError when no record carries the
+    statistic."""
+    rows = [(r.n_or_p,
+             float(r.value if r.normalized is None else r.normalized),
+             _params_str(r.params) or r.family)
+            for r in sorted(records, key=_sort_key)
+            if r.statistic == statistic]
+    if not rows:
+        raise QrpermError(f"no rows carry statistic {statistic!r}")
+    return _csv_lines([("x", "y", "series"), *rows])
 
 
 def emit(records: list[ScanRecord], out_dir: str, base: str,
-         config_echo: dict, wall_time_ms: float | None = None) -> EmitResult:
-    """Write <base>.csv and <base>_summary.json under out_dir.
+         config_echo: dict, wall_time_ms: float | None = None,
+         plot: str | None = None) -> EmitResult:
+    """Write <base>.csv and <base>_summary.json under out_dir and, with
+    plot, that statistic's plot_rows as <base>_plot_<plot>.csv.
 
-    The CSV body (header + data rows, not the leading config comment) is
-    what the summary's sha256 covers; the comment line is excluded
-    because it echoes knobs like the worker count that must not perturb
-    the digest.  The summary's statistics block gives the count, min,
-    max and mean of float(value) for each statistic, exact or not; the
-    exact values are in the CSV only.  Both files are written in full to
-    a temporary directory in out_dir, so a failed write leaves an old
-    pair as it was.  Then the old summary is unlinked, the CSV renamed
-    into place, and the summary last: an interruption leaves the old CSV
-    or the new CSV with no summary, or else the new pair.
+    The summary's sha256 covers csv_body, not the leading config comment,
+    which echoes knobs like the worker count that must not perturb the
+    digest.  Its statistics block gives the count, min, max and mean of
+    float(value) for each statistic; exact values are in the CSV only.
+    A plot statistic no record carries raises before any write.  Every
+    file is staged in full in one temporary directory in out_dir, so a
+    failed write leaves the old files as they were.  Then the old summary
+    is unlinked, the CSV and plot file renamed into place, and the summary
+    last: an interruption leaves no summary, so a summary on disk
+    certifies the CSV and plot file beside it.
     """
-    os.makedirs(out_dir, exist_ok=True)
     seen = set()
     for r in records:
         key = (r.family, r.n_or_p, r.params, r.statistic)
         if key in seen:
             raise QrpermError(f"duplicate scan record {key}")
         seen.add(key)
-    body = csv_rows(records)
-    digest = hashlib.sha256(
-        ("\n".join(body) + "\n").encode()).hexdigest()
+    plot_lines = plot_rows(records, plot) if plot else None
+    body = csv_body(records)
+    digest = hashlib.sha256(body.encode()).hexdigest()
     echo = " ".join(f"{k}={config_echo[k]}" for k in sorted(config_echo))
-    csv_text = f"# config: {echo}\n" + "\n".join(body) + "\n"
 
     per_stat: dict[str, list[float]] = {}
     for r in records:
@@ -457,48 +480,30 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
             for stat, vals in sorted(per_stat.items())
         },
     }
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, base + ".csv")
     summary_path = os.path.join(out_dir, base + "_summary.json")
+    plot_path = (os.path.join(out_dir, f"{base}_plot_{plot}.csv")
+                 if plot else None)
     with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
-        csv_tmp = os.path.join(tmp, "csv")
-        summary_tmp = os.path.join(tmp, "summary")
-        with open(csv_tmp, "w") as fh:
-            fh.write(csv_text)
-        with open(summary_tmp, "w") as fh:
+        def staged(path: str) -> str:
+            return os.path.join(tmp, os.path.basename(path))
+
+        with open(staged(csv_path), "w") as fh:
+            fh.write(f"# config: {echo}\n" + body)
+        if plot:
+            with open(staged(plot_path), "w") as fh:
+                fh.write("\n".join(plot_lines) + "\n")
+        with open(staged(summary_path), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         with contextlib.suppress(FileNotFoundError):
             os.unlink(summary_path)
-        os.replace(csv_tmp, csv_path)
-        os.replace(summary_tmp, summary_path)
-    return EmitResult(csv_path, summary_path, digest, len(records))
-
-
-def plot_rows(records: list[ScanRecord], statistic: str) -> list[str]:
-    """Tidy (x, y, series) rows for one statistic, header first, ready
-    for gnuplot or a notebook; y is the normalized column when present,
-    else the value.  Raises QrpermError when no record carries the
-    statistic."""
-    rows = ["x,y,series"]
-    for r in sorted(records, key=_sort_key):
-        if r.statistic != statistic:
-            continue
-        y = _fmt_float(r.value if r.normalized is None else r.normalized)
-        series = _csv_field(_params_str(r.params) or r.family)
-        rows.append(f"{r.n_or_p},{y},{series}")
-    if len(rows) == 1:
-        raise QrpermError(f"no rows carry statistic {statistic!r}")
-    return rows
-
-
-def write_plot_data(records: list[ScanRecord], path: str,
-                    statistic: str) -> int:
-    """Write plot_rows(records, statistic) to path and return the number
-    of data rows; writes no file when plot_rows raises."""
-    rows = plot_rows(records, statistic)
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
-    return len(rows) - 1
+        for path in (csv_path, plot_path, summary_path):   # summary last
+            if path:
+                os.replace(staged(path), path)
+    return EmitResult(csv_path, summary_path, digest, len(records),
+                      plot_path, len(plot_lines) - 1 if plot else 0)
 
 
 def timed(fn, *args, **kwargs):

@@ -30,6 +30,13 @@ def test_golden_ratio_table_stays_under_pin():
         assert prefix > 0
 
 
+def test_psi_scan_pins_reproduce_the_pinned_digest():
+    lo, hi, digest = _load_script().psi_scan_pins(2)
+    assert digest == calibration.PSI_SCAN_SHA256
+    assert (calibration.PSI_MEAN_LN2_LO <= lo <= hi
+            <= calibration.PSI_MEAN_LN2_HI)
+
+
 def test_random_band_reads_the_pins(monkeypatch):
     monkeypatch.setattr(calibration, "RANDOM_BAND_LO_COEFF", 0.5)
     monkeypatch.setattr(calibration, "RANDOM_BAND_HI_COEFF", 2.0)

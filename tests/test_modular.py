@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qrperm.errors import InvalidModulusError, NotAUnitError, QrpermError
-from qrperm.modular import (as_prime, factorize, find_primitive_root,
-                            is_prime, is_primitive_root, mod_inv,
-                            multiplicative_order)
+from qrperm.families import eta_power, lambda_inv, rho_exp
+from qrperm.modular import (as_prime, as_unit, factorize,
+                            find_primitive_root, is_prime, is_primitive_root,
+                            mod_inv, multiplicative_order)
 
 
 def sieve(limit):
@@ -124,6 +125,16 @@ def test_order_rejects_zero():
         multiplicative_order(0, 7)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: as_unit(14, 7), lambda: lambda_inv(7, 14),
+    lambda: eta_power(7, -7, 5), lambda: rho_exp(7, 0, 3),
+    lambda: rho_exp(7, 1, 7), lambda: multiplicative_order(7, 7)])
+def test_prime_moduli_share_one_unit_check(call):
+    with pytest.raises(NotAUnitError) as exc:
+        call()
+    assert (exc.value.value, exc.value.modulus, exc.value.gcd) == (0, 7, 7)
+
+
 def test_prime_modulus_validates():
     assert as_prime(101) == 101
     with pytest.raises(InvalidModulusError):
@@ -131,6 +142,7 @@ def test_prime_modulus_validates():
     assert as_prime(13) == 13
     with pytest.raises(QrpermError):
         as_prime(15)
+    assert as_unit(-5, 7) == 2
 
 
 @given(st.integers(2, 500))

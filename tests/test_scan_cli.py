@@ -50,7 +50,6 @@ from qrperm.scan import (
     scan_psi,
     scan_sos,
     scan_zaremba,
-    write_plot_data,
 )
 
 
@@ -458,10 +457,13 @@ def test_emit_failure_keeps_existing_pair(tmp_path, monkeypatch):
         summary["csv_body_sha256"] == first.body_sha256
 
 
-@pytest.mark.parametrize("failing_call", [1, 2])
+@pytest.mark.parametrize("plot, failing_call", [
+    pytest.param(None, 1, id="1"), pytest.param(None, 2, id="2"),
+    *(pytest.param("mean_dstar", i, id=f"plot-{i}") for i in (1, 2, 3))])
 def test_emit_interrupted_rename_never_leaves_a_disagreeing_pair(
-        tmp_path, monkeypatch, failing_call):
-    emit(scan_psi(5, 11), str(tmp_path), "t", {"workers": 1})
+        tmp_path, monkeypatch, plot, failing_call):
+    old, new = scan_psi(5, 11), scan_psi(5, 13)
+    emit(old, str(tmp_path), "t", {"workers": 1}, plot=plot)
     real_replace, calls = os.replace, []
 
     def flaky_replace(src, dst):
@@ -472,7 +474,7 @@ def test_emit_interrupted_rename_never_leaves_a_disagreeing_pair(
 
     monkeypatch.setattr(os, "replace", flaky_replace)
     with pytest.raises(OSError, match="killed"):
-        emit(scan_psi(5, 13), str(tmp_path), "t", {"workers": 1})
+        emit(new, str(tmp_path), "t", {"workers": 1}, plot=plot)
     monkeypatch.undo()
     assert len(calls) == failing_call
     body = (tmp_path / "t.csv").read_text().split("\n", 1)[1]
@@ -480,6 +482,12 @@ def test_emit_interrupted_rename_never_leaves_a_disagreeing_pair(
     assert not summary_path.exists() or \
         json.loads(summary_path.read_text())["csv_body_sha256"] == \
         hashlib.sha256(body.encode()).hexdigest()
+    if plot:
+        # the plot file is whole, from one run or the other, and no
+        # summary is left to vouch for it until the new summary lands
+        assert not summary_path.exists()
+        assert (tmp_path / f"t_plot_{plot}.csv").read_text() in [
+            "\n".join(plot_rows(run, plot)) + "\n" for run in (old, new)]
 
 
 def test_emit_rejects_duplicate_records(tmp_path):
@@ -515,12 +523,11 @@ def test_csv_float_and_rational_cells():
 
 
 def test_write_plot_data(tmp_path):
-    records = scan_psi(5, 19)
-    path = str(tmp_path / "plot.csv")
-    wrote = write_plot_data(records, path, "mean_dstar")
-    lines = Path(path).read_text().splitlines()
+    res = emit(scan_psi(5, 19), str(tmp_path), "t", {}, plot="mean_dstar")
+    assert res.plot_path == str(tmp_path / "t_plot_mean_dstar.csv")
+    lines = Path(res.plot_path).read_text().splitlines()
     assert lines[0] == "x,y,series"
-    assert wrote == len(lines) - 1 == 6  # one row per prime in [5, 19]
+    assert res.plot_rows == len(lines) - 1 == 6  # one per prime in [5, 19]
 
 
 # ----------------------------------------------------------------- config
@@ -661,6 +668,24 @@ def test_cli_bad_plot_leaves_the_previous_pair(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: no rows carry statistic 'nope'\n"
     assert [p.read_bytes() for p in paths] == before
+
+
+def test_cli_unwritable_plot_leaves_no_summary_from_the_run(tmp_path,
+                                                           capsys):
+    argv = ["scan-psi", "--pmin", "5", "--out", str(tmp_path),
+            "--base", "t"]
+    assert main(argv + ["--pmax", "7"]) == 0
+    paths = [tmp_path / "t.csv", tmp_path / "t_summary.json"]
+    before = [p.read_bytes() for p in paths]
+    (tmp_path / "t_plot_mean_dstar.csv").mkdir()
+    capsys.readouterr()
+    assert main(argv + ["--pmax", "13", "--plot", "mean_dstar"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not paths[1].exists() or \
+        [p.read_bytes() for p in paths] == before
+    assert set(os.listdir(tmp_path)) <= {  # no staging directory is left
+        "t.csv", "t_summary.json", "t_plot_mean_dstar.csv"}
 
 
 def test_cli_zaremba_stdout(capsys):
