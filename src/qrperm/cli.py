@@ -154,8 +154,7 @@ def cmd_stats(cfg: RunConfig) -> int:
 
 
 def _echo(cfg: RunConfig, *names: str) -> dict:
-    pairs = {"command": cfg.command, "workers": cfg.workers,
-             "version": __version__}
+    pairs = {"command": cfg.command, "version": __version__}
     for name in names:
         pairs[name] = getattr(cfg, name)
     return pairs
@@ -176,7 +175,7 @@ def _finish_scan(cfg: RunConfig, records, default_base: str,
 def cmd_scan_psi(cfg: RunConfig) -> int:
     records, ms = timed(scan_psi, cfg.pmin, cfg.pmax, workers=cfg.workers)
     return _finish_scan(cfg, records, f"psi_{cfg.pmin}_{cfg.pmax}",
-                        _echo(cfg, "pmin", "pmax"), ms)
+                        _echo(cfg, "workers", "pmin", "pmax"), ms)
 
 
 def cmd_scan_gauss(cfg: RunConfig) -> int:
@@ -184,7 +183,7 @@ def cmd_scan_gauss(cfg: RunConfig) -> int:
     records, ms = timed(scan_gauss, cfg.pmin, cfg.pmax,
                         a_values=a_values, workers=cfg.workers)
     return _finish_scan(cfg, records, f"gauss_{cfg.pmin}_{cfg.pmax}",
-                        _echo(cfg, "pmin", "pmax", "a_values"), ms)
+                        _echo(cfg, "workers", "pmin", "pmax", "a_values"), ms)
 
 
 def _alpha_labels(text: str) -> list[str]:
@@ -205,7 +204,7 @@ def cmd_scan_sos(cfg: RunConfig) -> int:
     n_list = parse_int_list(cfg.n_list, "--n-list")
     records, ms = timed(scan_sos, labels, n_list, workers=cfg.workers)
     return _finish_scan(cfg, records, "sos_scan",
-                        _echo(cfg, "alphas", "n_list"), ms)
+                        _echo(cfg, "workers", "alphas", "n_list"), ms)
 
 
 def cmd_zaremba(cfg: RunConfig) -> int:

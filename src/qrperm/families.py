@@ -249,8 +249,6 @@ def random_perm(n: int, seed: int) -> Permutation:
     The generator and the rejection-sampled bounded draw are pinned, so
     identical (n, seed) gives an identical permutation everywhere.
     """
-    if n < 1:
-        raise QrpermError("n must be >= 1")
     image = list(range(n))
     state = seed & _MASK64
     for i in range(n - 1, 0, -1):

@@ -7,6 +7,13 @@ by comparing M^2 against B^2*d (sign-aware; equality is impossible for
 square-free d >= 2 and B != 0, which is exactly why the comparator never
 reports a tie for irrational alpha and s != t).
 
+{q*alpha} itself is written here once: frac_surd gives its surd form
+(A + B*sqrt(d))/c from q and floor(q*alpha), for Python ints and int64
+arrays alike, and surd_float its float64 value.  frac_compare,
+frac_float, the vectorised Sos prefix keys and the discrelation boxes of
+ranksets all go through them, so the float keys of a scan are
+frac_float's bits because they run the same code.
+
 Canonical form: c > 0, gcd(a, b, c) = 1, d square-free and >= 2, b != 0.
 Rational alphas are handled by fractions.Fraction throughout the
 package; this module only owns the irrational case plus the shared
@@ -60,10 +67,6 @@ class QuadraticIrrational:
     def __neg__(self) -> "QuadraticIrrational":
         return QuadraticIrrational(-self.a, -self.b, self.d, self.c)
 
-    def scaled(self, s: int) -> tuple[int, int, int]:
-        """Numerator data (A, B, c) of alpha*s = (A + B*sqrt(d))/c."""
-        return self.a * s, self.b * s, self.c
-
 
 def golden() -> QuadraticIrrational:
     return QuadraticIrrational(1, 1, 5, 2)
@@ -110,8 +113,21 @@ def floor_surd(a: int, b: int, d: int, c: int) -> int:
 
 def floor_multiple(alpha: QuadraticIrrational, s: int) -> int:
     """floor(alpha * s), exact."""
-    aa, bb, c = alpha.scaled(s)
-    return floor_surd(aa, bb, alpha.d, c)
+    return floor_surd(alpha.a * s, alpha.b * s, alpha.d, alpha.c)
+
+
+def frac_surd(alpha: QuadraticIrrational, q, fl):
+    """(A, B) with {q*alpha} = (A + B*sqrt(d)) / c, given fl =
+    floor(q*alpha).  q and fl are ints or int64 arrays alike; linear in
+    (q, fl), so a difference of two points is frac_surd of the
+    differences."""
+    return alpha.a * q - alpha.c * fl, alpha.b * q
+
+
+def surd_float(alpha: QuadraticIrrational, big_a, big_b):
+    """(A + B*sqrt(d)) / c in float64, for ints or int64 arrays: the one
+    operation order of every float {q*alpha} in the package."""
+    return (big_a + big_b * math.sqrt(alpha.d)) / alpha.c
 
 
 def frac_compare(alpha, s: int, t: int) -> int:
@@ -123,11 +139,8 @@ def frac_compare(alpha, s: int, t: int) -> int:
     if s == t:
         return 0
     if isinstance(alpha, QuadraticIrrational):
-        fs = floor_multiple(alpha, s)
-        ft = floor_multiple(alpha, t)
-        m = alpha.a * (s - t) - alpha.c * (fs - ft)
-        b = alpha.b * (s - t)
-        return sign_of_surd(m, b, alpha.d)
+        fl = floor_multiple(alpha, s) - floor_multiple(alpha, t)
+        return sign_of_surd(*frac_surd(alpha, s - t, fl), alpha.d)
     alpha = Fraction(alpha)
     num, den = alpha.numerator, alpha.denominator
     rs = num * s % den
@@ -143,9 +156,8 @@ def frac_float(alpha, s: int) -> float:
     error at all.
     """
     if isinstance(alpha, QuadraticIrrational):
-        aa, bb, c = alpha.scaled(s)
-        fl = floor_surd(aa, bb, alpha.d, c)
-        return ((aa - c * fl) + bb * math.sqrt(alpha.d)) / c
+        return surd_float(alpha,
+                          *frac_surd(alpha, s, floor_multiple(alpha, s)))
     alpha = Fraction(alpha)
     return float(alpha.numerator * s % alpha.denominator) / alpha.denominator
 

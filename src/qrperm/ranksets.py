@@ -37,8 +37,9 @@ Irrational alpha takes two steps, and keeps the bits of one float sweep.
   leaves at most three steps s' - s, so a few exact floor_multiple calls
   and one cumsum give every floor; a wrong order has a carry of 1
   somewhere, which one more floor_multiple at the last point detects.
-  The key ((a*s - c*fl) + (b*s)*sqrt(d)) / c then repeats frac_float's
-  IEEE operations in numpy.
+  The keys are then quadirr's frac_surd and surd_float over the arrays
+  s and fl, the functions frac_float itself calls, so they are
+  frac_float's bits.
 
   A fixed-point filter.  With 2^k*(n + 1) < 2^31 and R = floor(y*2^k)
   (exact: the scaling is), prefix_star_nums(ranks, R, 2^k) sweeps in
@@ -67,7 +68,7 @@ from .discrepancy import _inverses, _run_starts, _runs, _step_rows
 from .errors import QrpermError, SizeRefusedError
 from .families import Permutation
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
-                      sign_of_surd)
+                      frac_surd, sign_of_surd, surd_float)
 
 _FIXED_BITS = 31  # the fixed-point filter sweeps in int32
 
@@ -205,8 +206,7 @@ def _prefix_points(alpha, ranks) -> tuple[np.ndarray, int]:
     if fl[-1] != floor_multiple(alpha, int(order[-1])):
         raise QrpermError(f"beta is not ordered by {{s*alpha}} for "
                           f"alpha={alpha_label(alpha)}")
-    fl = fl[g]
-    return ((a * s - c * fl) + (b * s) * math.sqrt(d)) / c, 1
+    return surd_float(alpha, *frac_surd(alpha, s, fl[g])), 1
 
 
 def _row_boxes(ranks, r, den: int, s: int):
@@ -289,13 +289,12 @@ def max_prefix_star(alpha, beta: Permutation) -> PrefixStar:
 def _box_reaches(alpha: QuadraticIrrational, s: int, q: int, count: int,
                  ds: Fraction) -> bool:
     """2*|count - s*{q*alpha}| >= ds, decided in surd arithmetic."""
-    a, b, c, d = alpha.a, alpha.b, alpha.c, alpha.d
-    m = floor_multiple(alpha, q)
-    # count - s*{q alpha} = (A + B sqrt(d)) / c, with c > 0
-    big_a = count * c - s * (q * a - m * c)
-    big_b = -s * q * b
-    x, y, t = 2 * ds.denominator * big_a, 2 * ds.denominator * big_b, \
-        ds.numerator * c
+    c, d = alpha.c, alpha.d
+    big_a, big_b = frac_surd(alpha, q, floor_multiple(alpha, q))
+    # 2*den*(count - s*{q alpha}) = (x + y sqrt(d)) / c, with c > 0
+    x = 2 * ds.denominator * (count * c - s * big_a)
+    y = -2 * ds.denominator * s * big_b
+    t = ds.numerator * c
     return sign_of_surd(x - t, y, d) >= 0 or sign_of_surd(x + t, y, d) <= 0
 
 

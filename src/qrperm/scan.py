@@ -444,6 +444,9 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
     which echoes knobs like the worker count that must not perturb the
     digest.  Its statistics block gives the count, min, max and mean of
     float(value) for each statistic; exact values are in the CSV only.
+    The summary's plot entry names the plot file and the sha256 of its
+    bytes, or is null when the run wrote none, so a plot file left by an
+    earlier run is not vouched for.
     A plot statistic no record carries raises before any write.  Every
     file is staged in full in one temporary directory in out_dir, so a
     failed write leaves the old files as they were.  Then the old summary
@@ -458,6 +461,7 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
             raise QrpermError(f"duplicate scan record {key}")
         seen.add(key)
     plot_lines = plot_rows(records, plot) if plot else None
+    plot_text = "\n".join(plot_lines) + "\n" if plot else None
     body = csv_body(records)
     digest = hashlib.sha256(body.encode()).hexdigest()
     echo = " ".join(f"{k}={config_echo[k]}" for k in sorted(config_echo))
@@ -485,6 +489,10 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
     summary_path = os.path.join(out_dir, base + "_summary.json")
     plot_path = (os.path.join(out_dir, f"{base}_plot_{plot}.csv")
                  if plot else None)
+    summary["plot"] = {
+        "file": os.path.basename(plot_path),
+        "sha256": hashlib.sha256(plot_text.encode()).hexdigest(),
+    } if plot else None
     with tempfile.TemporaryDirectory(dir=out_dir) as tmp:
         def staged(path: str) -> str:
             return os.path.join(tmp, os.path.basename(path))
@@ -493,7 +501,7 @@ def emit(records: list[ScanRecord], out_dir: str, base: str,
             fh.write(f"# config: {echo}\n" + body)
         if plot:
             with open(staged(plot_path), "w") as fh:
-                fh.write("\n".join(plot_lines) + "\n")
+                fh.write(plot_text)
         with open(staged(summary_path), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")

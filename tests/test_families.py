@@ -123,6 +123,12 @@ def test_identity_and_reversal():
     assert reversal_perm(4).image == (3, 2, 1, 0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_random_perm_refuses_size_below_one(n):
+    with pytest.raises(QrpermError, match=r"^n must be >= 1$"):
+        random_perm(n, 1)
+
+
 def test_random_perm_pinned_and_deterministic():
     # regression pin: the generator is part of the file format contract
     assert random_perm(12, 7).image == (10, 11, 5, 1, 7, 4, 8, 2, 9, 6, 0, 3)

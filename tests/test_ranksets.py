@@ -1,6 +1,7 @@
 """Partial-rank sequences, hit sets, gap checks, prefix star discrepancy."""
 
 import dataclasses
+import functools
 import math
 import sys
 from decimal import Decimal, localcontext
@@ -345,6 +346,32 @@ def test_prefix_points_walk_keys_are_frac_float_bits(label):
         assert den == 1 and r.dtype == np.float64
         assert [x.hex() for x in r.tolist()] == [
             frac_float(alpha, s).hex() for s in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("a, d, c", [(0, 2, 1), (1, 5, 2), (-5, 7, 3)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_prefix_points_keys_are_frac_float_bits_at_int64_edge(a, d, c, sign):
+    # |b| as large as the int64 bound of _prefix_points admits at n = 17:
+    # each key cancels terms near 2^61, and still equals frac_float.
+    # The order comes from a comparator sort: cf_of_quadratic, which
+    # sos_perm may call, need not close its period for such alpha.
+    n = 17
+    k = math.isqrt(d) + 1
+    b = ((2**62 - 1) // (n + 1) - abs(a) - c) // k
+    with pytest.raises(SizeRefusedError, match="int64"):
+        ranksets._prefix_points(QuadraticIrrational(a, sign * (b + 1), d, c),
+                                range(n))
+    alpha = QuadraticIrrational(a, sign * b, d, c)
+    assert (alpha.a, abs(alpha.b), alpha.c) == (a, b, c)
+    order = sorted(range(1, n + 1), key=functools.cmp_to_key(
+        lambda u, v: frac_compare(alpha, u, v)))
+    ranks = [0] * n
+    for rank, q in enumerate(order):
+        ranks[q - 1] = rank
+    r, den = ranksets._prefix_points(alpha, ranks)
+    assert den == 1
+    assert [x.hex() for x in r.tolist()] == [
+        frac_float(alpha, s).hex() for s in range(1, n + 1)]
 
 
 def test_max_prefix_star_refuses_beta_out_of_order():

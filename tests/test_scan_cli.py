@@ -688,6 +688,41 @@ def test_cli_unwritable_plot_leaves_no_summary_from_the_run(tmp_path,
         "t.csv", "t_summary.json", "t_plot_mean_dstar.csv"}
 
 
+def test_cli_summary_names_its_plot_file(tmp_path, capsys):
+    # a plot file outlives a later run without --plot; only the summary
+    # of the run that wrote it names it, with the sha256 of its bytes
+    argv = ["scan-psi", "--pmin", "5", "--pmax", "13", "--out",
+            str(tmp_path), "--base", "t"]
+    summary_path = tmp_path / "t_summary.json"
+    plot_path = tmp_path / "t_plot_mean_dstar.csv"
+    assert main(argv + ["--plot", "mean_dstar"]) == 0
+    assert json.loads(summary_path.read_text())["plot"] == {
+        "file": plot_path.name,
+        "sha256": hashlib.sha256(plot_path.read_bytes()).hexdigest()}
+    assert main(argv) == 0
+    assert plot_path.exists()
+    assert json.loads(summary_path.read_text())["plot"] is None
+
+
+def test_cli_config_echo_names_workers_only_where_used(tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.setenv("QRPERM_WORKERS", "4")
+    runs = {
+        "z": (["zaremba", "--nmin", "2", "--nmax", "5"], False),
+        "o": (["obryant", "--alpha", "golden", "--limit", "20",
+               "--targets", "3"], False),
+        "p": (["scan-psi", "--pmin", "5", "--pmax", "7"], True),
+        "g": (["scan-gauss", "--pmin", "5", "--pmax", "7"], True),
+        "s": (["scan-sos", "--alphas", "golden", "--n-list", "8"], True),
+    }
+    for base, (argv, pooled) in runs.items():
+        assert main(argv + ["--out", str(tmp_path), "--base", base]) == 0
+        config = (tmp_path / f"{base}.csv").read_text().splitlines()[0]
+        summary = json.loads((tmp_path / f"{base}_summary.json").read_text())
+        assert ("workers=4" in config.split()) == pooled, config
+        assert summary["config"].get("workers") == ("4" if pooled else None)
+
+
 def test_cli_zaremba_stdout(capsys):
     assert main(["zaremba", "--nmin", "10", "--nmax", "10",
                  "--bound", "5"]) == 0
