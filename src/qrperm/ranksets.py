@@ -20,13 +20,17 @@ Prefix star discrepancy: prefix_star_nums gives the star discrepancy of
 every prefix of a point sequence in one sweep over the rank-indexed
 count matrix G(s, b) = #{q < s : rank_q < b}.  The sweep itself is
 _prefix_star_rows, which evaluates any set of rows given as runs of
-consecutive rows: prefix_star_nums is its all-rows call.  It cuts rows
-by d_star's one rule, _runs(n + 1) runs over whole rows, so a sweep
-costs O(n^2) time and O(n) memory, 3*runs*(n + 1) cells, and every row
-has the bits of a per-prefix loop.  max_prefix_star runs it over the
-Kronecker sequence {s*alpha}, and discrelation_holds decides
-D*(beta_alpha) <= 2 * that maximum exactly: with Fractions for rational
-alpha, in surd arithmetic at the winning box for irrational alpha.
+consecutive rows: prefix_star_nums is its all-rows call.  Entry s - 1
+reads only the first s points, so the kernel steps its runs in groups
+of d_star's _runs(n + 1) runs, each group over only the points up to
+its last row: prefix_star_nums asks for _ROW_GROUPS times as many
+runs, and a sweep costs O(n^2) time, about (1 + 1/_ROW_GROUPS)/2 of the
+n(n + 1) cells of one sweep over all points, and O(n) memory, at most
+3*runs*(n + 1) cells.  Every row has the bits of a per-prefix loop.
+max_prefix_star runs it over the Kronecker sequence {s*alpha}, and
+discrelation_holds decides D*(beta_alpha) <= 2 * that maximum exactly:
+with Fractions for rational alpha, in surd arithmetic at the winning
+box for irrational alpha.
 
 Irrational alpha takes two steps, and keeps the bits of one float sweep.
 
@@ -71,6 +75,8 @@ from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       frac_surd, sign_of_surd, surd_float)
 
 _FIXED_BITS = 31  # the fixed-point filter sweeps in int32
+_ROW_GROUPS = 4   # prefix_star_nums steps its rows in 4 groups (8: about
+                  # the same, 16: slower at n <= 4096)
 
 
 def _earlier_smaller(values) -> np.ndarray:
@@ -145,11 +151,15 @@ def _ceil_sqrt(x) -> int:
 def gap_check(sigma: Permutation, d_upper) -> GapCheck:
     """Does every interval of length ceil(sqrt(32*n*D)) inside [1, n]
     contain an element of A_sigma?  d_upper must dominate D(sigma)."""
+    return _gap_of(a_set(sigma), d_upper)
+
+
+def _gap_of(ranks: ASet, d_upper) -> GapCheck:
+    """gap_check for the A_sigma already built, ranks = a_set(sigma)."""
     d_upper = Fraction(d_upper)
     if d_upper < 0:
         raise QrpermError("discrepancy bound must be >= 0")
-    ranks = a_set(sigma)
-    needed = _ceil_sqrt(32 * sigma.n * d_upper)
+    needed = _ceil_sqrt(32 * ranks.n * d_upper)
     return GapCheck(ranks.max_gap <= needed, needed, ranks.max_gap,
                     ranks.widest_empty)
 
@@ -338,14 +348,17 @@ def prefix_star_nums(ranks, r, den: int) -> np.ndarray:
     """Star discrepancy (count scale) of every prefix of the points
     r[q] / den, r[q] in [0, den), times den; entry s - 1 covers the
     first s points.  ranks orders the points as r does, ties broken
-    either way.  The all-rows call of _prefix_star_rows, in _runs(n + 1)
-    runs as d_star cuts them; int32 wherever den*(n + 1) < 2^31.
+    either way.  The all-rows call of _prefix_star_rows, in
+    _ROW_GROUPS*_runs(n + 1) runs cut as d_star cuts them: the kernel
+    steps them in _ROW_GROUPS groups of consecutive rows, each over
+    the points it needs, so about (1 + 1/_ROW_GROUPS)/2 of n(n + 1)
+    cells.  int32 wherever den*(n + 1) < 2^31.
     """
     n = len(r)
     _refuse_wide(den, n)
     out = np.empty(n, dtype=np.asarray(r).dtype)
     if n:
-        span, starts = _run_starts(n, _runs(n + 1))
+        span, starts = _run_starts(n, _ROW_GROUPS * _runs(n + 1))
         rows = starts + np.arange(span)[:, None]  # row a holds a + 1 points
         out[rows] = _prefix_star_rows(ranks, r, den, rows)
     return out
@@ -366,15 +379,19 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
     one above, and without such a point its value is <= 0.  So one
     counter serves both conventions and tied points.
 
-    Each run's first row is one cumsum, and the runs step together by
-    den*G += den*[b > rank(s)] over whole rows, read from d_star's step
-    window, _step_rows.  Runs go in groups of
-    _runs(n + 1), the rule that sizes d_star's runs, each group one
-    (runs, n + 1) block in three reused buffers, so memory is O(n):
-    3*runs*(n + 1) cells.  s*y is computed afresh on every row, and
-    fl(s*y) is monotone in y, so float r (den = 1) gives the bits of a
-    per-prefix loop, whatever the runs.  den*(n + 1) < 2^62, as
-    prefix_star_nums checks.
+    Runs go in groups of _runs(n + 1), the rule that sizes d_star's
+    runs.  A group whose last row is m - 1 reads only the first m
+    points, ranked among themselves in the order ranks gives them: every
+    column it keeps has the same s, y[b] and G(s, b) as over all n
+    points, and every column it drops is a point outside each of its
+    prefixes.  Each run's first row is one cumsum, and the runs step
+    together by den*G += den*[b > rank(s)] over whole rows, read from
+    d_star's step window, _step_rows.  Each group is one (runs, m + 1)
+    block in three reused buffers, so memory is O(n): at most
+    3*runs*(n + 1) cells, and a row costs O(m).  s*y is computed afresh
+    on every row, and fl(s*y) is monotone in y, so float r (den = 1)
+    gives the bits of a per-prefix loop, whatever the runs.
+    den*(n + 1) < 2^62, as prefix_star_nums checks.
     """
     n = len(r)
     g = np.asarray(ranks, dtype=np.int64)
@@ -390,10 +407,7 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
         pdt = cnt = val = np.int32 if den * (n + 1) < 2**31 else val
     out = np.empty(rows.shape, dtype=val)
     inv = _inverses(g[None, :])[0]
-    y = np.zeros(n + 1, dtype=pdt)  # y[n] pads the flat closed-box read
-    y[:n] = r[inv]
     span, group = len(rows), _runs(n + 1)
-    step_rows = _step_rows(den, n, cnt)  # den*[b > v] at row n - v
     # reused buffers: fresh MB-sized temporaries page-fault
     hbuf = np.empty(min(group, rows.shape[1]) * (n + 1), dtype=cnt)
     pbuf = np.empty_like(hbuf, dtype=val)
@@ -401,16 +415,22 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
     for j in range(0, rows.shape[1], group):
         part = rows[:, j:j + group]
         runs = part.shape[1]
+        m = int(part.max()) + 1
+        pts = inv[inv < m]  # the first m points in rank order
+        rank = _inverses(pts[None, :])[0]
+        y = np.zeros(m + 1, dtype=pdt)  # y[m] pads the flat closed-box read
+        y[:m] = r[pts]
+        step_rows = _step_rows(den, m, cnt)  # den*[b > v] at row m - v
         a_col = part[:1].T
         s_col = (a_col + 1).astype(pdt)
-        at = n - g[part]
-        # contiguous (runs, n + 1) blocks, also read flat: column n of p
+        at = m - rank[part]
+        # contiguous (runs, m + 1) blocks, also read flat: column m of p
         # is padding, so closed boxes read den*G one cell right
-        k = runs * (n + 1)
+        k = runs * (m + 1)
         hf, pf, uf = hbuf[:k], pbuf[:k], ubuf[:k]
-        h, p, u = (f.reshape(runs, n + 1) for f in (hf, pf, uf))
-        h[:, 0] = 0  # h = den*G(s, 0..n)
-        np.cumsum(inv <= a_col, axis=1, out=h[:, 1:])
+        h, p, u = (f.reshape(runs, m + 1) for f in (hf, pf, uf))
+        h[:, 0] = 0  # h = den*G(s, 0..m)
+        np.cumsum(pts <= a_col, axis=1, out=h[:, 1:])
         h[:, 1:] *= den
         closed = np.empty((span, runs), dtype=val)
         opened = np.empty((span, runs), dtype=val)
@@ -420,7 +440,7 @@ def _prefix_star_rows(ranks, r, den: int, rows) -> np.ndarray:
             np.multiply(s_col + t, y, out=p)
             np.subtract(hf[1:], pf[:-1], out=uf[:-1])  # closed boxes
             np.subtract(pf, hf, out=pf)                # open boxes
-            u[:, :n].max(axis=1, out=closed[t])
-            p[:, :n].max(axis=1, out=opened[t])
+            u[:, :m].max(axis=1, out=closed[t])
+            p[:, :m].max(axis=1, out=opened[t])
         np.maximum(closed, opened, out=out[:, j:j + group])
     return out

@@ -45,7 +45,7 @@ from .expsums import _walks
 from .families import _params, sos_perm
 from .modular import is_prime
 from .quadirr import QuadraticIrrational, parse_alpha
-from .ranksets import a_set, discrelation_holds, gap_check, max_prefix_star
+from .ranksets import _gap_of, a_set, discrelation_holds, max_prefix_star
 
 CSV_COLUMNS = ("family", "n_or_p", "params", "statistic",
                "value_num", "value_den_or_float", "normalized",
@@ -345,7 +345,7 @@ def scan_obryant(alpha_label: str, limit: int,
     sigma = _scan_sos_perm(limit, alpha)
     ranks = a_set(sigma)
     d_up = 4 * d_star(sigma)
-    gc = gap_check(sigma, d_up)
+    gc = _gap_of(ranks, d_up)
     pm = dict(alpha=alpha_label)
     out = [
         rec_q("obryant", limit, pm, "aset_size", ranks.count,

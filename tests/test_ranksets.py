@@ -282,7 +282,7 @@ def test_prefix_star_nums_matches_triangle_on_random_keys(monkeypatch):
 
 def test_prefix_star_nums_matches_triangle_at_run_and_block_edges():
     # one-row runs below 32, an overlapping last run at 33, and at
-    # n = 4097 the first n with fewer than 32 runs
+    # n = 4097 fewer than 32 runs (from n = 4096 on)
     rng = np.random.default_rng(7)
     for n in (1, 31, 33, 1023, 1025, 2049, 4097):
         r = rng.random(n)
@@ -309,6 +309,58 @@ def test_prefix_star_nums_matches_triangle_on_permutation_images():
                   reversal_perm(65)):
         img = np.asarray(sigma.image, dtype=np.int64)
         _assert_same_as_triangle(img, img, sigma.n)
+
+
+def test_prefix_star_nums_matches_triangle_across_row_groups(monkeypatch):
+    # each group of runs reads only the points its rows need: at a block
+    # of 1 cell, groups of 4 single rows, so n = 1..9 has one to three
+    # groups and a short last one; 4097 and 4099 have 121 runs of 34
+    # rows in groups of 31, the last one short
+    rng = np.random.default_rng(31)
+    for cells, sizes in ((1, range(1, 10)),
+                         (discrepancy._BLOCK_CELLS, (*range(1, 10), 4097,
+                                                     4099))):
+        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", cells)
+        for n in sizes:
+            for r, den in ((rng.random(n), 1),
+                           (np.floor(rng.random(n) * 5) / 5, 1),
+                           (rng.integers(0, 13, n), 13),
+                           (rng.integers(0, 2**40, n), 2**40)):
+                _assert_same_as_triangle(_ranks_with_ties(r, rng), r, den)
+
+
+def test_prefix_star_groups_read_only_their_points(monkeypatch):
+    # every group of runs steps over exactly its last row + 1 points,
+    # and the sweep at n = 4096 stays within 0.7 of n(n + 1) cells
+    # (equal groups give (1 + 1/4)/2 of it)
+    n = 4096
+    rng = np.random.default_rng(3)
+    r = rng.random(n)
+    ranks = _ranks_with_ties(r, rng)
+    calls, points = [], []
+    rows_of, step_rows = ranksets._prefix_star_rows, ranksets._step_rows
+
+    def spied_rows(ranks, r, den, rows):
+        calls.append(np.asarray(rows))
+        return rows_of(ranks, r, den, rows)
+
+    def spied_steps(step, m, dtype):
+        points.append(m)
+        return step_rows(step, m, dtype)
+
+    monkeypatch.setattr(ranksets, "_prefix_star_rows", spied_rows)
+    monkeypatch.setattr(ranksets, "_step_rows", spied_steps)
+    got = prefix_star_nums(ranks, r, 1)
+    assert len(calls) == 1
+    rows = calls[0]
+    group = discrepancy._runs(n + 1)
+    parts = [rows[:, j:j + group] for j in range(0, rows.shape[1], group)]
+    assert len(parts) == ranksets._ROW_GROUPS
+    assert points == [int(part.max()) + 1 for part in parts]
+    assert points[-1] == n
+    cells = sum(part.size * (m + 1) for part, m in zip(parts, points))
+    assert cells <= 0.7 * n * (n + 1)
+    assert got.tobytes() == _triangle_prefix_star_nums(ranks, r, 1).tobytes()
 
 
 def test_max_prefix_star_box_attains_value():
@@ -406,8 +458,10 @@ def _as_tuple(ps):
 
 @pytest.mark.parametrize("label", WALK_ALPHAS)
 def test_max_prefix_star_equals_full_float_sweep(label):
+    # 4097 has fewer than 32 runs, as every n from 4096 on
     alpha = parse_alpha(label)
-    for n in (1, 2, 3, 4, 12, 17, 300, 2048):
+    larger = (4097,) if label in ("golden", "sqrt:7") else ()
+    for n in (1, 2, 3, 4, 12, 17, 300, 2048, *larger):
         beta = sos_perm(n, alpha)
         assert _as_tuple(max_prefix_star(alpha, beta)) == \
             _full_sweep_prefix_star(alpha, beta), n

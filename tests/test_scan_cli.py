@@ -19,9 +19,11 @@ import pytest
 import qrperm
 from qrperm import (
     QrpermError,
+    a_set,
     b_sequence,
     d_star,
     from_text,
+    gap_check,
     gauss_power_sum,
     golden,
     psi,
@@ -330,6 +332,31 @@ def test_scan_obryant_frozen_at_200():
     assert by[("gap_ok", None)].value == 1
     assert by[("target_hit", "1")].value == 1
     assert by[("target_hit", "1000000")].value == 0
+
+
+def test_scan_obryant_builds_the_rank_set_once(monkeypatch):
+    # the gap check reads the A_sigma that aset_size and the targets read
+    calls = []
+    for module in (qrperm.scan, qrperm.ranksets):
+        monkeypatch.setattr(module, "a_set", lambda sigma: calls.append(
+            sigma.n) or a_set(sigma))
+    for label, alpha, limit in (("sqrt:2", sqrt_irr(2), 300),
+                                ("rat:3/7", Fraction(3, 7), 40)):
+        calls.clear()
+        records = scan_obryant(label, limit, targets=(1, 7, 12))
+        assert calls == [limit]
+        sigma = sos_perm(limit, alpha, tie_break=True)
+        ranks, gc = a_set(sigma), gap_check(sigma, 4 * d_star(sigma))
+        pm = {"alpha": label}
+        want = [rec_q("obryant", limit, pm, "aset_size", ranks.count,
+                      ranks.count / math.sqrt(limit / math.log(limit))),
+                rec_q("obryant", limit, pm, "max_gap", ranks.max_gap,
+                      ranks.max_gap / gc.required_length),
+                rec_q("obryant", limit, pm, "gap_ok", int(gc.ok))]
+        want += [rec_q("obryant", limit, {**pm, "target": t}, "target_hit",
+                       int(t in ranks.values)) for t in (1, 7, 12)]
+        key = lambda rec: (rec.statistic, rec.params)  # noqa: E731
+        assert sorted(records, key=key) == sorted(want, key=key)
 
 
 # pinned CSV body digests; gauss is left out, as numpy's vectorised exp
