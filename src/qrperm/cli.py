@@ -7,7 +7,8 @@ zaremba and obryant answer the two search questions directly.
 
 All flags use argparse.SUPPRESS defaults so config-file and environment
 values (QRPERM_WORKERS, QRPERM_OUTDIR) only lose to flags the user
-actually typed; see config.resolve for the precedence.
+actually typed; see config.resolve for the precedence.  A flag that
+several subcommands take is declared once, in a parent parser.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .cfrac import _parse_bound, cf_of_rational, zaremba_search
+from .cfrac import cf_of_rational
 from .config import RunConfig, parse_int_list, resolve
 from .discrepancy import build_report
 from .errors import QrpermError
@@ -35,10 +36,12 @@ from .qrstats import property_profile
 from .quadirr import frac_float, parse_alpha
 from .ranksets import b_sequence
 from .scan import (_scan_sos_perm, emit, scan_gauss, scan_obryant, scan_psi,
-                   scan_sos, scan_zaremba, timed)
+                   scan_sos, scan_zaremba, timed, zaremba_results)
 
 FAMILIES = ("psi", "lambda", "eta", "rho", "sos", "bitrev",
             "identity", "reversal", "random")
+SUM_KINDS = ("weyl", "incomplete", "twisted", "kloosterman", "gauss",
+             "wsum", "completion")
 
 
 def _need(value, flag: str):
@@ -107,41 +110,33 @@ def cmd_disc(cfg: RunConfig) -> int:
 
 def cmd_sums(cfg: RunConfig) -> int:
     kind = cfg.kind
+    if kind not in SUM_KINDS:       # a config file skips --kind's choices
+        raise QrpermError(f"unknown sum kind {kind!r}")
+    if kind == "completion":
+        rep = completion_check(build_perm(cfg), _need(cfg.k, "--k"))
+        print(json.dumps(asdict(rep), indent=2))
+        return 0
     if kind == "weyl":
         n = _need(cfg.n, "--n")
         if n < 1:
             raise QrpermError(f"--n must be >= 1, got {n}")
         alpha = parse_alpha(cfg.alpha)
         pts = [frac_float(alpha, s) for s in range(1, n + 1)]
-        print(_sum_json(kind, weyl_sum(pts, _need(cfg.k, "--k"))))
+        sv = weyl_sum(pts, _need(cfg.k, "--k"))
     elif kind == "incomplete":
-        sigma = build_perm(cfg)
-        sv = incomplete_sigma_sum(sigma, _need(cfg.k, "--k"),
+        sv = incomplete_sigma_sum(build_perm(cfg), _need(cfg.k, "--k"),
                                   _need(cfg.m, "--m"))
-        print(_sum_json(kind, sv))
     elif kind == "twisted":
-        sigma = build_perm(cfg)
-        print(_sum_json(kind, twisted_full_sum(sigma, _need(cfg.k, "--k"),
-                                               cfg.a)))
+        sv = twisted_full_sum(build_perm(cfg), _need(cfg.k, "--k"), cfg.a)
     elif kind == "kloosterman":
-        p = _need(cfg.n, "--n")
-        print(_sum_json(kind, kloosterman(p, cfg.a, cfg.b)))
+        sv = kloosterman(_need(cfg.n, "--n"), cfg.a, cfg.b)
     elif kind == "gauss":
-        p = _need(cfg.n, "--n")
-        sv = gauss_power_sum(p, cfg.a, _need(cfg.k, "--k"),
+        sv = gauss_power_sum(_need(cfg.n, "--n"), cfg.a, _need(cfg.k, "--k"),
                              _need(cfg.m, "--m"))
-        print(_sum_json(kind, sv))
-    elif kind == "wsum":
-        p = _need(cfg.n, "--n")
-        sv = w_sum(p, cfg.a, cfg.c, _need(cfg.theta, "--theta"),
-                   _need(cfg.t, "--t"))
-        print(_sum_json(kind, sv))
-    elif kind == "completion":
-        sigma = build_perm(cfg)
-        rep = completion_check(sigma, _need(cfg.k, "--k"))
-        print(json.dumps(asdict(rep), indent=2))
     else:
-        raise QrpermError(f"unknown sum kind {kind!r}")
+        sv = w_sum(_need(cfg.n, "--n"), cfg.a, cfg.c,
+                   _need(cfg.theta, "--theta"), _need(cfg.t, "--t"))
+    print(_sum_json(kind, sv))
     return 0
 
 
@@ -153,17 +148,16 @@ def cmd_stats(cfg: RunConfig) -> int:
     return 0
 
 
-def _echo(cfg: RunConfig, *names: str) -> dict:
-    pairs = {"command": cfg.command, "version": __version__}
-    for name in names:
-        pairs[name] = getattr(cfg, name)
-    return pairs
-
-
-def _finish_scan(cfg: RunConfig, records, default_base: str,
-                 echo: dict, ms: float) -> int:
-    res = emit(records, cfg.out, cfg.base or default_base, echo,
-               wall_time_ms=ms, plot=cfg.plot)
+def _write_scan(cfg: RunConfig, base: str, echo: tuple[str, ...], scan,
+                *args, **kwargs) -> int:
+    """Time scan(*args, **kwargs), emit its records under cfg.out as
+    cfg.base (else base), echoing the config keys in echo, and print
+    where they went: the one path of every command that writes a scan."""
+    records, ms = timed(scan, *args, **kwargs)
+    pairs = {"command": cfg.command, "version": __version__,
+             **{name: getattr(cfg, name) for name in echo}}
+    res = emit(records, cfg.out, cfg.base or base, pairs, wall_time_ms=ms,
+               plot=cfg.plot)
     print(f"{res.rows} rows -> {res.csv_path}")
     print(f"summary  -> {res.summary_path}")
     print(f"body sha256 {res.body_sha256}")
@@ -173,17 +167,17 @@ def _finish_scan(cfg: RunConfig, records, default_base: str,
 
 
 def cmd_scan_psi(cfg: RunConfig) -> int:
-    records, ms = timed(scan_psi, cfg.pmin, cfg.pmax, workers=cfg.workers)
-    return _finish_scan(cfg, records, f"psi_{cfg.pmin}_{cfg.pmax}",
-                        _echo(cfg, "workers", "pmin", "pmax"), ms)
+    return _write_scan(cfg, f"psi_{cfg.pmin}_{cfg.pmax}",
+                       ("workers", "pmin", "pmax"),
+                       scan_psi, cfg.pmin, cfg.pmax, workers=cfg.workers)
 
 
 def cmd_scan_gauss(cfg: RunConfig) -> int:
     a_values = parse_int_list(cfg.a_values, "--a-values") or [1]
-    records, ms = timed(scan_gauss, cfg.pmin, cfg.pmax,
-                        a_values=a_values, workers=cfg.workers)
-    return _finish_scan(cfg, records, f"gauss_{cfg.pmin}_{cfg.pmax}",
-                        _echo(cfg, "workers", "pmin", "pmax", "a_values"), ms)
+    return _write_scan(cfg, f"gauss_{cfg.pmin}_{cfg.pmax}",
+                       ("workers", "pmin", "pmax", "a_values"),
+                       scan_gauss, cfg.pmin, cfg.pmax, a_values=a_values,
+                       workers=cfg.workers)
 
 
 def _alpha_labels(text: str) -> list[str]:
@@ -202,22 +196,18 @@ def _alpha_labels(text: str) -> list[str]:
 def cmd_scan_sos(cfg: RunConfig) -> int:
     labels = _alpha_labels(cfg.alphas)
     n_list = parse_int_list(cfg.n_list, "--n-list")
-    records, ms = timed(scan_sos, labels, n_list, workers=cfg.workers)
-    return _finish_scan(cfg, records, "sos_scan",
-                        _echo(cfg, "workers", "alphas", "n_list"), ms)
+    return _write_scan(cfg, "sos_scan", ("workers", "alphas", "n_list"),
+                       scan_sos, labels, n_list, workers=cfg.workers)
 
 
 def cmd_zaremba(cfg: RunConfig) -> int:
     if cfg.base:
-        records, ms = timed(scan_zaremba, cfg.nmin, cfg.nmax, cfg.bound)
-        return _finish_scan(cfg, records, cfg.base,
-                            _echo(cfg, "nmin", "nmax", "bound"), ms)
-    bound = _parse_bound(cfg.bound)     # also when the n range is empty
-    for n in range(max(cfg.nmin, 2), cfg.nmax + 1):
-        z = zaremba_search(n, bound)
-        cf = cf_of_rational(z.k, n)
+        return _write_scan(cfg, cfg.base, ("nmin", "nmax", "bound"),
+                           scan_zaremba, cfg.nmin, cfg.nmax, cfg.bound)
+    for z in zaremba_results(cfg.nmin, cfg.nmax, cfg.bound):
         mark = "ok" if z.certifies else "exceeds"
-        print(f"n={n} k={z.k} cf={cf} max_quotient={z.max_quotient} "
+        print(f"n={z.n} k={z.k} cf={cf_of_rational(z.k, z.n)} "
+              f"max_quotient={z.max_quotient} "
               f"avg={z.max_prefix_average} [{mark}]")
     return 0
 
@@ -227,9 +217,8 @@ def cmd_obryant(cfg: RunConfig) -> int:
         raise QrpermError(f"--n must be >= 1, got {cfg.n}")
     targets = parse_int_list(cfg.targets, "--targets")
     if cfg.base:
-        records, ms = timed(scan_obryant, cfg.alpha, cfg.limit, targets)
-        return _finish_scan(cfg, records, cfg.base,
-                            _echo(cfg, "alpha", "limit", "targets"), ms)
+        return _write_scan(cfg, cfg.base, ("alpha", "limit", "targets"),
+                           scan_obryant, cfg.alpha, cfg.limit, targets)
     records = scan_obryant(cfg.alpha, cfg.limit, targets)
     by_stat = {(r.statistic, r.params): r for r in records}
     size = by_stat[("aset_size", (("alpha", cfg.alpha),))]
@@ -265,28 +254,19 @@ _COMMANDS = {
 }
 
 
-def _add_family_flags(sp):
-    sp.add_argument("--family", choices=FAMILIES)
-    sp.add_argument("--n", type=int, help="size (the prime p for "
-                    "psi/lambda/eta/rho)")
-    sp.add_argument("--k", type=int)
-    sp.add_argument("--a", type=int)
-    sp.add_argument("--tau", type=int)
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--alpha", help="golden | -golden | sqrt:D | "
-                    "quad:a,b,d,c | rat:p/q (a negative one needs =: "
-                    "--alpha=-golden)")
-    sp.add_argument("--tie-break", action="store_true")
-    sp.add_argument("--from-file", help="read the permutation from a "
-                    "gen-format text file instead")
-
-
 class _Parser(argparse.ArgumentParser):
     """Bad arguments raise QrpermError, so main reports them like any bad
     input; the subparsers inherit the class."""
 
     def error(self, message):
         raise QrpermError(message)
+
+
+def _parent() -> argparse.ArgumentParser:
+    """A parser whose flags other parsers share through parents=; each
+    defaults to SUPPRESS, so only the flags typed reach resolve."""
+    return argparse.ArgumentParser(add_help=False,
+                                   argument_default=argparse.SUPPRESS)
 
 
 @functools.lru_cache(maxsize=1)
@@ -303,64 +283,60 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key=value config file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("gen", help="emit one permutation as text")
-    _add_family_flags(sp)
-    sp.add_argument("--invert", action="store_true")
-    sp.add_argument("--out-file")
-
-    sp = sub.add_parser("disc", help="discrepancy report (JSON)")
-    _add_family_flags(sp)
-    sp.add_argument("--exact-cap", type=int)
-
-    sp = sub.add_parser("sums", help="one exponential sum (JSON)")
-    _add_family_flags(sp)
-    sp.add_argument("--kind", choices=("weyl", "incomplete", "twisted",
-                                       "kloosterman", "gauss", "wsum",
-                                       "completion"))
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--b", type=int)
-    sp.add_argument("--c", type=int)
-    sp.add_argument("--theta", type=int)
-    sp.add_argument("--t", type=int)
-
-    sp = sub.add_parser("stats", help="quasirandomness profile (JSON)")
-    _add_family_flags(sp)
-    sp.add_argument("--alpha-exp", type=float,
-                    help="exponent alpha for the eigenvalue statistic")
-    sp.add_argument("--exact-cap", type=int)
-
-    for name in ("scan-psi", "scan-gauss"):
-        sp = sub.add_parser(name, help=f"{name.split('-')[1]} family scan")
-        sp.add_argument("--pmin", type=int)
-        sp.add_argument("--pmax", type=int)
-        if name == "scan-gauss":
-            sp.add_argument("--a-values", help="comma list, default 1")
-        sp.add_argument("--workers", type=int)
-        sp.add_argument("--out", help="output directory")
-        sp.add_argument("--base", help="output basename")
-        sp.add_argument("--plot", help="also write plot data for this "
+    family = _parent()
+    family.add_argument("--family", choices=FAMILIES)
+    family.add_argument("--n", type=int, help="size (the prime p for "
+                        "psi/lambda/eta/rho)")
+    for flag in ("--k", "--a", "--tau", "--seed"):
+        family.add_argument(flag, type=int)
+    family.add_argument("--alpha", help="golden | -golden | sqrt:D | "
+                        "quad:a,b,d,c | rat:p/q (a negative one needs =: "
+                        "--alpha=-golden)")
+    family.add_argument("--tie-break", action="store_true")
+    family.add_argument("--from-file", help="read the permutation from a "
+                        "gen-format text file instead")
+    cap = _parent()
+    cap.add_argument("--exact-cap", type=int)
+    primes = _parent()
+    primes.add_argument("--pmin", type=int)
+    primes.add_argument("--pmax", type=int)
+    workers = _parent()
+    workers.add_argument("--workers", type=int)
+    output = _parent()      # every command that writes a scan
+    output.add_argument("--out", help="output directory")
+    output.add_argument("--base", help="output basename (zaremba and "
+                        "obryant print to stdout without it)")
+    output.add_argument("--plot", help="also write plot data for this "
                         "statistic")
 
-    sp = sub.add_parser("scan-sos", help="Sos permutation scan")
-    sp.add_argument("--alphas", help="comma list of alpha handles, as "
-                    "for gen, quad:a,b,d,c included (a "
-                    "list that starts negative needs =: "
-                    "--alphas=-golden,sqrt:2)")
-    sp.add_argument("--n-list", help="comma list of sizes")
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--out")
-    sp.add_argument("--base")
-    sp.add_argument("--plot")
+    def command(name: str, help: str, *parents) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=parents,
+                              argument_default=argparse.SUPPRESS)
 
-    sp = sub.add_parser("zaremba", help="bounded-quotient numerators")
+    sp = command("gen", "emit one permutation as text", family)
+    sp.add_argument("--invert", action="store_true")
+    sp.add_argument("--out-file")
+    command("disc", "discrepancy report (JSON)", family, cap)
+    sp = command("sums", "one exponential sum (JSON)", family)
+    sp.add_argument("--kind", choices=SUM_KINDS)
+    for flag in ("--m", "--b", "--c", "--theta", "--t"):
+        sp.add_argument(flag, type=int)
+    sp = command("stats", "quasirandomness profile (JSON)", family, cap)
+    sp.add_argument("--alpha-exp", type=float,
+                    help="exponent alpha for the eigenvalue statistic")
+    command("scan-psi", "psi family scan", primes, workers, output)
+    sp = command("scan-gauss", "gauss family scan", primes, workers, output)
+    sp.add_argument("--a-values", help="comma list, default 1")
+    sp = command("scan-sos", "Sos permutation scan", workers, output)
+    sp.add_argument("--alphas", help="comma list of alpha handles, as "
+                    "for gen, quad:a,b,d,c included (a list that starts "
+                    "negative needs =: --alphas=-golden,sqrt:2)")
+    sp.add_argument("--n-list", help="comma list of sizes")
+    sp = command("zaremba", "bounded-quotient numerators", output)
     sp.add_argument("--nmin", type=int)
     sp.add_argument("--nmax", type=int)
     sp.add_argument("--bound", help="quotient bound B (integer or p/q)")
-    sp.add_argument("--out")
-    sp.add_argument("--base", help="write CSV under --out instead of "
-                    "printing")
-
-    sp = sub.add_parser("obryant", help="rank sequence hit-set queries")
+    sp = command("obryant", "rank sequence hit-set queries", output)
     sp.add_argument("--alpha", help="alpha handle, as for gen (a "
                     "negative one needs =: --alpha=-golden)")
     sp.add_argument("--limit", type=int)
@@ -368,13 +344,6 @@ def make_parser() -> argparse.ArgumentParser:
                     "(a list that starts negative needs =: "
                     "--targets=-3,0)")
     sp.add_argument("--n", type=int, help="also print B(1..n)")
-    sp.add_argument("--out")
-    sp.add_argument("--base")
-
-    for sp_action in sub.choices.values():
-        for action in sp_action._actions:
-            if action.dest not in ("help", "command"):
-                action.default = argparse.SUPPRESS
     return parser
 
 

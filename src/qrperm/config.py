@@ -67,18 +67,20 @@ _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
-def _coerce(name: str, kind: Any, raw: str):
+def _coerce(source: str, kind: Any, raw: str):
+    """raw as the field type kind; a bad value names its source, the
+    config file line or the environment variable it came from."""
     if kind in ("int", "int | None"):
         try:
             return int(raw)
         except ValueError:
-            raise QrpermError(f"config key {name!r} wants an integer, "
+            raise QrpermError(f"{source} wants an integer, "
                               f"got {raw!r}") from None
     if kind == "float":
         try:
             return float(raw)
         except ValueError:
-            raise QrpermError(f"config key {name!r} wants a float, "
+            raise QrpermError(f"{source} wants a float, "
                               f"got {raw!r}") from None
     if kind == "bool":
         low = raw.strip().lower()
@@ -86,8 +88,7 @@ def _coerce(name: str, kind: Any, raw: str):
             return True
         if low in _BOOL_FALSE:
             return False
-        raise QrpermError(f"config key {name!r} wants a boolean, "
-                          f"got {raw!r}")
+        raise QrpermError(f"{source} wants a boolean, got {raw!r}")
     return raw
 
 
@@ -116,14 +117,15 @@ def load_config_file(path: str) -> dict[str, Any]:
             known = ", ".join(sorted(types))
             raise QrpermError(f"{path}:{lineno}: unknown key {key!r} "
                               f"(known: {known})")
-        out[key] = _coerce(key, types[key], raw.strip())
+        out[key] = _coerce(f"{path}:{lineno}: config key {key!r}",
+                           types[key], raw.strip())
     return out
 
 
 def env_overrides() -> dict[str, Any]:
     out: dict[str, Any] = {}
     if "QRPERM_WORKERS" in os.environ:
-        out["workers"] = _coerce("workers", "int",
+        out["workers"] = _coerce("QRPERM_WORKERS", "int",
                                  os.environ["QRPERM_WORKERS"])
     if "QRPERM_OUTDIR" in os.environ:
         out["out"] = os.environ["QRPERM_OUTDIR"]

@@ -30,8 +30,7 @@ from fractions import Fraction
 from .cfrac import _convergents_upto, cf_of_quadratic
 from .errors import (AmbiguousOrderError, InvalidGeneratorError,
                      NotAPermutationError, NotAUnitError, QrpermError)
-from .modular import (as_prime, as_unit, is_primitive_root, mod_inv,
-                      multiplicative_order)
+from .modular import as_prime, as_unit, mod_inv, multiplicative_order
 from .quadirr import (QuadraticIrrational, alpha_label, floor_multiple,
                       frac_compare)
 
@@ -148,8 +147,9 @@ def rho_exp(p, a: int, tau: int) -> Permutation:
     p = as_prime(p)
     a = as_unit(a, p)
     tau = as_unit(tau, p)
-    if not is_primitive_root(tau, p):
-        raise InvalidGeneratorError(tau, p, multiplicative_order(tau, p))
+    order = multiplicative_order(tau, p)
+    if order != p - 1:
+        raise InvalidGeneratorError(tau, p, order)
     image = [0] * p
     cur = a
     for s in range(1, p):

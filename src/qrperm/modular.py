@@ -7,7 +7,7 @@ permutation families and exponential-sum kernels are built from:
     factorize(n)              trial division, {prime: exponent}
     multiplicative_order(x, p)  least t >= 1 with x^t = 1 (mod p)
     find_primitive_root(p)    smallest generator of Z_p^*
-    is_primitive_root(t, p)   t^((p-1)/q) != 1 for every prime q | p-1
+    is_primitive_root(t, p)   multiplicative_order(t, p) == p - 1
     as_prime(p)               the one primality gate of prime moduli
     as_unit(x, p)             x mod p, refused when it is 0 mod the prime p
 
@@ -113,21 +113,12 @@ def multiplicative_order(x: int, p) -> int:
 def find_primitive_root(p) -> int:
     """Smallest primitive root mod p (p prime).  For p = 2 this is 1."""
     p = as_prime(p)
-    if p == 2:
-        return 1
-    cofactors = [(p - 1) // q for q in factorize(p - 1)]
-    for tau in range(2, p):
-        if all(pow(tau, c, p) != 1 for c in cofactors):
-            return tau
-    raise InvalidModulusError(f"no primitive root below {p}")  # unreachable
+    return next(tau for tau in range(1, p)
+                if multiplicative_order(tau, p) == p - 1)
 
 
 def is_primitive_root(tau: int, p) -> bool:
+    """Does tau generate Z_p^*?  False when p divides tau."""
     p = as_prime(p)
-    tau %= p
-    if tau == 0:
-        return False
-    if p == 2:
-        return tau == 1
-    return all(pow(tau, (p - 1) // q, p) != 1 for q in factorize(p - 1))
+    return tau % p != 0 and multiplicative_order(tau, p) == p - 1
 

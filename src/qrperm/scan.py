@@ -32,13 +32,14 @@ import multiprocessing
 import os
 import tempfile
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .cfrac import (_convergents_upto, _parse_bound, cf_of_quadratic,
-                    cf_of_rational, zaremba_search)
+from .cfrac import (ZarembaResult, _convergents_upto, _parse_bound,
+                    cf_of_quadratic, cf_of_rational, zaremba_search)
 from .discrepancy import _d_star_many, d_star
 from .errors import QrpermError
 from .expsums import _walks
@@ -361,18 +362,24 @@ def scan_obryant(alpha_label: str, limit: int,
     return sorted(out, key=_sort_key)
 
 
+def zaremba_results(nmin: int, nmax: int, bound) -> Iterator[ZarembaResult]:
+    """zaremba_search(n, bound) for n = max(nmin, 2)..nmax, one at a time
+    in increasing n.  The bound is parsed here, also when the n range is
+    empty, so a bad bound fails before any search."""
+    bound = _parse_bound(bound)
+    return (zaremba_search(n, bound) for n in range(max(nmin, 2), nmax + 1))
+
+
 def scan_zaremba(nmin: int, nmax: int, bound) -> list[ScanRecord]:
     """Best bounded-quotient numerator for each denominator n."""
-    bound = _parse_bound(bound)     # also when the n range is empty
     out: list[ScanRecord] = []
-    for n in range(max(nmin, 2), nmax + 1):
-        z = zaremba_search(n, bound)
-        out.append(rec_q("zaremba", n, {"k": z.k}, "max_quotient",
-                         z.max_quotient, float(z.max_quotient / z.bound)))
-        out.append(rec_q("zaremba", n, {"k": z.k}, "max_prefix_avg",
-                         z.max_prefix_average))
-        out.append(rec_q("zaremba", n, {"k": z.k}, "certified",
-                         int(z.certifies)))
+    for z in zaremba_results(nmin, nmax, bound):
+        pm = {"k": z.k}
+        out += [rec_q("zaremba", z.n, pm, "max_quotient", z.max_quotient,
+                      float(z.max_quotient / z.bound)),
+                rec_q("zaremba", z.n, pm, "max_prefix_avg",
+                      z.max_prefix_average),
+                rec_q("zaremba", z.n, pm, "certified", int(z.certifies))]
     return sorted(out, key=_sort_key)
 
 

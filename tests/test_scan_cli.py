@@ -1,5 +1,6 @@
 """Scan drivers, CSV emission, config layering, and the CLI surface."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -7,6 +8,7 @@ import json
 import math
 import multiprocessing.connection
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -597,6 +599,30 @@ def test_config_file_validation(tmp_path):
         load_config_file(str(tmp_path / "absent.cfg"))
 
 
+@pytest.mark.parametrize("line, want", [
+    ("workers = soon", "config key 'workers' wants an integer, got 'soon'"),
+    ("alpha_exp = x", "config key 'alpha_exp' wants a float, got 'x'"),
+    ("tie-break = maybe", "config key 'tie_break' wants a boolean, "
+     "got 'maybe'"),
+])
+def test_config_file_type_errors_name_file_and_line(tmp_path, line, want):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"# knobs\npmax = 7\n{line}\n")
+    with pytest.raises(QrpermError, match="wants a") as exc:
+        load_config_file(str(cfg_file))
+    assert str(exc.value) == f"{cfg_file}:3: {want}"
+
+
+def test_config_env_type_error_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("QRPERM_WORKERS", "abc")
+    with pytest.raises(QrpermError, match="wants an integer") as exc:
+        env_overrides()
+    assert str(exc.value) == "QRPERM_WORKERS wants an integer, got 'abc'"
+    assert main(["scan-psi", "--pmin", "5", "--pmax", "7"]) == 1
+    assert capsys.readouterr().err == \
+        "error: QRPERM_WORKERS wants an integer, got 'abc'\n"
+
+
 def test_config_dashes_and_bools(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("tie-break = yes\nn-list = 8,16\n")
@@ -755,6 +781,76 @@ def test_cli_zaremba_stdout(capsys):
                  "--bound", "5"]) == 0
     out = capsys.readouterr().out
     assert "n=10 k=7 cf=[0; 1, 2, 3] max_quotient=3 avg=2 [ok]" in out
+
+
+_ZAREMBA_LINE = re.compile(r"n=(\d+) k=(\d+) cf=\[[^]]*\] "
+                           r"max_quotient=(\d+) avg=(\S+) \[(ok|exceeds)\]")
+
+
+@pytest.mark.parametrize("bound, exceeds", [("7/2", 0), ("2", 3)])
+def test_cli_zaremba_stdout_matches_the_scan_records(capsys, bound,
+                                                     exceeds):
+    # the printed mode and the --base mode report the same searches
+    assert main(["zaremba", "--nmin", "2", "--nmax", "40",
+                 "--bound", bound]) == 0
+    printed = [_ZAREMBA_LINE.fullmatch(line).groups()
+               for line in capsys.readouterr().out.splitlines()]
+    rows = {}
+    for r in scan_zaremba(2, 40, bound):
+        rows.setdefault(r.n_or_p, {"k": dict(r.params)["k"]})[
+            r.statistic] = r.value
+    assert [int(n) for n, *_ in printed] == list(range(2, 41)) == \
+        sorted(rows)
+    for n, k, max_quotient, avg, mark in printed:
+        row = rows[int(n)]
+        assert (k, int(max_quotient), Fraction(avg), mark) == (
+            row["k"], row["max_quotient"], row["max_prefix_avg"],
+            "ok" if row["certified"] else "exceeds")
+    assert [mark for *_, mark in printed].count("exceeds") == exceeds
+
+
+SCAN_WRITERS = ("scan-psi", "scan-gauss", "scan-sos", "zaremba", "obryant")
+OUTPUT_DESTS = {"out", "base", "plot"}
+
+
+def test_cli_scan_writers_share_the_output_flags():
+    subparsers = next(a for a in make_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    for name, sp in subparsers.items():
+        dests = {a.dest for a in sp._actions} & OUTPUT_DESTS
+        assert dests == (OUTPUT_DESTS if name in SCAN_WRITERS else set())
+    for name in SCAN_WRITERS:
+        pairs = vars(make_parser().parse_args(
+            [name, "--out", "o", "--base", "b", "--plot", "s"]))
+        assert {k: pairs[k] for k in OUTPUT_DESTS} == \
+            {"out": "o", "base": "b", "plot": "s"}
+
+
+@pytest.mark.parametrize("argv, plot, rows", [
+    (["zaremba", "--nmin", "2", "--nmax", "12"], "max_quotient", 11),
+    (["obryant", "--alpha", "golden", "--limit", "20"], "max_gap", 1),
+])
+def test_cli_base_mode_writes_the_plot_its_summary_names(tmp_path, capsys,
+                                                         argv, plot, rows):
+    assert main([*argv, "--out", str(tmp_path), "--base", "z",
+                 "--plot", plot]) == 0
+    plot_path = tmp_path / f"z_plot_{plot}.csv"
+    assert json.loads((tmp_path / "z_summary.json").read_text())["plot"] \
+        == {"file": plot_path.name,
+            "sha256": hashlib.sha256(plot_path.read_bytes()).hexdigest()}
+    assert capsys.readouterr().out.endswith(
+        f"plot data ({rows} rows) -> {plot_path}\n")
+
+
+def test_cli_zaremba_plot_flag_beats_the_config_file(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("plot = certified\n")
+    argv = ["--config", str(cfg_file), "zaremba", "--nmin", "2",
+            "--nmax", "6", "--out", str(tmp_path)]
+    assert main([*argv, "--base", "c"]) == 0
+    assert main([*argv, "--base", "f", "--plot", "max_quotient"]) == 0
+    plots = sorted(p.name for p in tmp_path.glob("*_plot_*"))
+    assert plots == ["c_plot_certified.csv", "f_plot_max_quotient.csv"]
 
 
 def test_cli_obryant_stdout(capsys):
